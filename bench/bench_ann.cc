@@ -44,12 +44,6 @@ namespace {
 
 using linalg::Matrix;
 
-std::size_t EnvSizeOr(const char* name, std::size_t fallback) {
-  const char* s = std::getenv(name);
-  return (s == nullptr || *s == '\0') ? fallback
-                                      : bench::ParseSizeOrDie(name, s);
-}
-
 double Seconds(std::chrono::steady_clock::time_point t0,
                std::chrono::steady_clock::time_point t1) {
   return std::chrono::duration<double>(t1 - t0).count();
@@ -93,11 +87,12 @@ double MeanCandidates(const retrieval::IvfIndex& index, const Matrix& queries,
 
 int Run(int argc, char** argv) {
   const std::size_t threads = bench::ApplyThreadsFlag(argc, argv);
-  const std::size_t full_items = EnvSizeOr("WHITENREC_ANN_ITEMS", 1000000);
-  const std::size_t num_queries = EnvSizeOr("WHITENREC_ANN_QUERIES", 256);
-  const std::size_t dim = EnvSizeOr("WHITENREC_ANN_DIM", 32);
-  const std::size_t top_k = EnvSizeOr("WHITENREC_ANN_TOPK", 10);
-  const std::size_t full_clusters = EnvSizeOr("WHITENREC_IVF_CLUSTERS", 0);
+  namespace knobs = core::knobs;
+  const std::size_t full_items = knobs::AnnItems().value_or(1000000);
+  const std::size_t num_queries = knobs::AnnQueries().value_or(256);
+  const std::size_t dim = knobs::AnnDim().value_or(32);
+  const std::size_t top_k = knobs::AnnTopk().value_or(10);
+  const std::size_t full_clusters = knobs::IvfClusters().value_or(0);
 
   std::printf("[ann] catalog=%zu queries=%zu dim=%zu k=%zu threads=%zu\n",
               full_items, num_queries, dim, top_k, threads);

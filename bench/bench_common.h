@@ -1,12 +1,12 @@
 #ifndef WHITENREC_BENCH_BENCH_COMMON_H_
 #define WHITENREC_BENCH_BENCH_COMMON_H_
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "core/knobs.h"
 #include "core/parallel.h"
 #include "data/generator.h"
 #include "data/split.h"
@@ -17,66 +17,34 @@ namespace whitenrec {
 namespace bench {
 
 // Shared experiment configuration for the table/figure harnesses. The scale
-// and epoch budget can be overridden via environment variables so the same
-// binaries serve both the quick default run and a longer, closer-to-paper
-// sweep:
-//   WHITENREC_SCALE   dataset scale multiplier (default 1.0)
-//   WHITENREC_EPOCHS  training epoch cap       (default 12)
+// and epoch budget can be overridden via WHITENREC_SCALE / WHITENREC_EPOCHS
+// (core/knobs.def) so the same binaries serve both the quick default run and
+// a longer, closer-to-paper sweep.
 
-// Strict numeric parsing: a typo like WHITENREC_SCALE=0.5x or
-// `--threads eight` is a fatal configuration error, never a silent 0 (which
-// atoi/atof would produce, and which 0-means-hardware-concurrency would then
-// reinterpret).
-inline double ParseDoubleOrDie(const char* what, const char* s) {
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(s, &end);
-  if (end == s || *end != '\0' || errno == ERANGE) {
-    std::fprintf(stderr, "bench: %s expects a number, got '%s'\n", what, s);
-    std::exit(EXIT_FAILURE);
-  }
-  return v;
-}
-
-inline std::size_t ParseSizeOrDie(const char* what, const char* s) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  // strtoull silently accepts a leading '-' by wrapping around; reject it.
-  const char* p = s;
-  while (*p == ' ' || *p == '\t') ++p;
-  if (end == s || *end != '\0' || errno == ERANGE || *p == '-') {
-    std::fprintf(stderr, "bench: %s expects a non-negative integer, got '%s'\n",
-                 what, s);
-    std::exit(EXIT_FAILURE);
-  }
-  return static_cast<std::size_t>(v);
-}
-
-inline double EnvScale() {
-  const char* s = std::getenv("WHITENREC_SCALE");
-  return s == nullptr ? 1.0 : ParseDoubleOrDie("WHITENREC_SCALE", s);
-}
-
-inline std::size_t EnvEpochs() {
-  const char* s = std::getenv("WHITENREC_EPOCHS");
-  return s == nullptr ? 12 : ParseSizeOrDie("WHITENREC_EPOCHS", s);
-}
+// Dataset scale multiplier: WHITENREC_SCALE, default 1.0.
+inline double EnvScale() { return core::knobs::Scale().value_or(1.0); }
 
 // Applies a `--threads N` / `--threads=N` command-line override of the
-// worker-thread count (otherwise WHITENREC_THREADS, otherwise 1) and returns
-// the resulting setting. 0 selects hardware concurrency.
+// worker-thread count (otherwise WHITENREC_THREADS, otherwise hardware
+// concurrency) and returns the resulting setting. 0 selects hardware
+// concurrency; a malformed value is fatal, never a silent 0.
 inline std::size_t ApplyThreadsFlag(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    const char* value = nullptr;
     if (arg.rfind("--threads=", 0) == 0) {
-      core::SetNumThreads(ParseSizeOrDie("--threads", arg.c_str() + 10));
-    } else if (arg == "--threads" && i + 1 < argc) {
-      core::SetNumThreads(ParseSizeOrDie("--threads", argv[i + 1]));
+      value = argv[i] + 10;
     } else if (arg == "--threads") {
-      std::fprintf(stderr, "bench: --threads requires a value\n");
+      value = i + 1 < argc ? argv[i + 1] : "";
+    }
+    if (value == nullptr) continue;
+    const Result<std::uint64_t> threads = core::ParseUnsigned(value);
+    if (!threads.ok()) {
+      std::fprintf(stderr, "bench: --threads: %s, got '%s'\n",
+                   threads.status().message().c_str(), value);
       std::exit(EXIT_FAILURE);
     }
+    core::SetNumThreads(threads.value());
   }
   return core::NumThreads();
 }
@@ -95,7 +63,7 @@ inline seqrec::SasRecConfig DefaultModelConfig() {
 
 inline seqrec::TrainConfig DefaultTrainConfig() {
   seqrec::TrainConfig config;
-  config.epochs = EnvEpochs();
+  config.epochs = core::knobs::Epochs().value_or(12);
   config.batch_size = 128;
   config.learning_rate = 1e-3;
   config.weight_decay = 0.0;

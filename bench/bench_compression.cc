@@ -43,12 +43,6 @@ namespace {
 
 using linalg::Matrix;
 
-std::size_t EnvSizeOr(const char* name, std::size_t fallback) {
-  const char* s = std::getenv(name);
-  return (s == nullptr || *s == '\0') ? fallback
-                                      : bench::ParseSizeOrDie(name, s);
-}
-
 double Seconds(std::chrono::steady_clock::time_point t0,
                std::chrono::steady_clock::time_point t1) {
   return std::chrono::duration<double>(t1 - t0).count();
@@ -98,9 +92,8 @@ double MeanNdcg(const std::vector<std::vector<linalg::ScoredItem>>& lists,
 
 int Run(int argc, char** argv) {
   const std::size_t threads = bench::ApplyThreadsFlag(argc, argv);
-  const std::size_t num_items = EnvSizeOr("WHITENREC_COMPRESS_ITEMS", 200000);
-  const std::size_t num_queries =
-      EnvSizeOr("WHITENREC_COMPRESS_QUERIES", 256);
+  const std::size_t num_items = core::knobs::CompressItems().value_or(200000);
+  const std::size_t num_queries = core::knobs::CompressQueries().value_or(256);
   constexpr std::size_t kDim = 64;
   constexpr std::size_t kTopK = 10;
 

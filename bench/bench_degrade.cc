@@ -42,17 +42,14 @@ int Run(int argc, char** argv) {
 
   // The acceptance operating point is 25% chaos; an explicit env setting
   // (already consumed by the injector at construction) wins.
-  if (std::getenv("WHITENREC_CHAOS_RATE") == nullptr) {
+  if (!core::knobs::ChaosRate().has_value()) {
     serve::ChaosInjector::Global().Configure(/*seed=*/42, /*rate=*/0.25);
   }
 
   serve::DegradeConfig config;
   config.traffic.num_sessions = data.dataset.sequences.size();
-  const char* requests_env = std::getenv("WHITENREC_DEGRADE_REQUESTS");
-  config.traffic.num_requests =
-      requests_env != nullptr
-          ? bench::ParseSizeOrDie("WHITENREC_DEGRADE_REQUESTS", requests_env)
-          : static_cast<std::size_t>(2048 * scale);
+  config.traffic.num_requests = core::knobs::DegradeRequests().value_or(
+      static_cast<std::size_t>(2048 * scale));
   config.traffic.mean_interarrival_ns = 100000;  // 10k rps offered at 1x
   config.traffic.deadline_ns = 20000000;         // 20 ms per request
   config.serve.max_batch = 64;

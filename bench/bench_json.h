@@ -3,10 +3,10 @@
 
 // Machine-readable bench artifacts. Every harness writes its CSV/JSON
 // outputs under one directory — `out/` by default, overridable with
-// WHITENREC_OUT_DIR — which is gitignored so result files never end up
-// committed next to the sources. The JSON builder is deliberately tiny:
-// objects, arrays, strings and numbers are all the BENCH_*.json records
-// need, and it keeps the harnesses dependency-free.
+// WHITENREC_OUT_DIR (core/knobs.def) — which is gitignored so result files
+// never end up committed next to the sources. The JSON builder is
+// deliberately tiny: objects, arrays, strings and numbers are all the
+// BENCH_*.json records need, and it keeps the harnesses dependency-free.
 
 #include <cstdio>
 #include <cstdlib>
@@ -15,14 +15,15 @@
 #include <utility>
 #include <vector>
 
+#include "core/knobs.h"
+
 namespace whitenrec {
 namespace bench {
 
 // Output directory for bench artifacts; created on first use.
 inline const std::string& OutDir() {
   static const std::string dir = [] {
-    const char* env = std::getenv("WHITENREC_OUT_DIR");
-    std::string d = (env != nullptr && env[0] != '\0') ? env : "out";
+    const std::string d = core::knobs::OutDir().value_or("out");
     std::error_code ec;
     std::filesystem::create_directories(d, ec);
     if (ec) {

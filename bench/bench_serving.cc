@@ -69,11 +69,8 @@ int Run(int argc, char** argv) {
   serve::HarnessConfig harness;
   harness.serve = serve_config;
   harness.traffic.num_sessions = data.dataset.sequences.size();
-  const char* requests_env = std::getenv("WHITENREC_SERVE_REQUESTS");
-  harness.traffic.num_requests =
-      requests_env != nullptr
-          ? bench::ParseSizeOrDie("WHITENREC_SERVE_REQUESTS", requests_env)
-          : static_cast<std::size_t>(4096 * scale);
+  harness.traffic.num_requests = core::knobs::ServeRequests().value_or(
+      static_cast<std::size_t>(4096 * scale));
   harness.batch_windows_ns = {0, 100000, 1000000, 10000000};
   harness.thread_counts = {1, threads};
   if (threads == 1) harness.thread_counts = {1};

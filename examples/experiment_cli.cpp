@@ -16,7 +16,9 @@
 #include <cstdlib>
 #include <map>
 #include <string>
+#include <string_view>
 
+#include "core/knobs.h"
 #include "core/parallel.h"
 #include "data/generator.h"
 #include "data/io.h"
@@ -59,18 +61,20 @@ std::string Get(const std::map<std::string, std::string>& args,
   return it == args.end() ? fallback : it->second;
 }
 
-// Seeds are uint64; atoll would silently wrap a negative or malformed value
-// into a huge seed, making "reproduce with the seed from the logs"
-// impossible. Reject anything that is not a plain non-negative integer.
-std::uint64_t ParseSeed(const std::string& s) {
-  char* end = nullptr;
-  const long long v = std::strtoll(s.c_str(), &end, 10);
-  if (end == s.c_str() || *end != '\0' || v < 0) {
-    std::fprintf(stderr, "invalid --seed '%s': need a non-negative integer\n",
-                 s.c_str());
+// Numeric flags use the strict knob parsers (core/knobs.h): a malformed
+// value exits instead of becoming a silent 0 or a wrapped seed, which would
+// make "reproduce with the seed from the logs" impossible.
+template <typename T>
+T Flag(const std::map<std::string, std::string>& args, const std::string& key,
+       const std::string& fallback, Result<T> (*parse)(std::string_view)) {
+  const std::string text = Get(args, key, fallback);
+  const Result<T> value = parse(text);
+  if (!value.ok()) {
+    std::fprintf(stderr, "invalid --%s '%s': %s\n", key.c_str(), text.c_str(),
+                 value.status().message().c_str());
     std::exit(2);
   }
-  return static_cast<std::uint64_t>(v);
+  return value.value();
 }
 
 void PrintEval(const char* split_name, const seqrec::EvalResult& r) {
@@ -99,8 +103,7 @@ int main(int argc, char** argv) {
   // Worker threads for the parallel kernels; 0 = hardware concurrency.
   // Results are bitwise identical at any setting (see DESIGN.md).
   if (args.count("threads")) {
-    core::SetNumThreads(
-        static_cast<std::size_t>(std::atoi(Get(args, "threads", "1").c_str())));
+    core::SetNumThreads(Flag(args, "threads", "1", core::ParseUnsigned));
   }
   std::printf("worker threads: %zu\n", core::NumThreads());
 
@@ -117,7 +120,7 @@ int main(int argc, char** argv) {
     dataset = std::move(loaded).ValueOrDie();
   } else {
     const std::string name = Get(args, "dataset", "arts");
-    const double scale = std::atof(Get(args, "scale", "1.0").c_str());
+    const double scale = Flag(args, "scale", "1.0", core::ParseReal);
     data::DatasetProfile profile =
         name == "toys"    ? data::ToysProfile(scale)
         : name == "tools" ? data::ToolsProfile(scale)
@@ -144,7 +147,7 @@ int main(int argc, char** argv) {
   // --- Split -------------------------------------------------------------
   data::Split split;
   if (args.count("cold")) {
-    linalg::Rng rng(ParseSeed(Get(args, "seed", "9")));
+    linalg::Rng rng(Flag(args, "seed", "9", core::ParseUnsigned));
     split = data::ColdStartSplit(dataset, 0.15, &rng).split;
     std::printf("cold-start split: %zu cold test instances\n",
                 split.test.size());
@@ -154,26 +157,24 @@ int main(int argc, char** argv) {
 
   // --- Model -------------------------------------------------------------
   seqrec::SasRecConfig mc;
-  mc.hidden_dim =
-      static_cast<std::size_t>(std::atoi(Get(args, "hidden", "32").c_str()));
-  mc.seed = ParseSeed(Get(args, "seed", "42"));
+  mc.hidden_dim = Flag(args, "hidden", "32", core::ParseUnsigned);
+  mc.seed = Flag(args, "seed", "42", core::ParseUnsigned);
+  std::printf("model seed: %llu\n", static_cast<unsigned long long>(mc.seed));
   seqrec::TrainConfig tc;
-  tc.epochs =
-      static_cast<std::size_t>(std::atoi(Get(args, "epochs", "12").c_str()));
-  tc.learning_rate = std::atof(Get(args, "lr", "1e-3").c_str());
+  tc.epochs = Flag(args, "epochs", "12", core::ParseUnsigned);
+  tc.learning_rate = Flag(args, "lr", "1e-3", core::ParseReal);
   tc.verbose = args.count("verbose") > 0;
   // Crash-safe checkpoint/resume (DESIGN.md §8): full-state generations in
   // --checkpoint-dir; --resume continues from the newest loadable one.
   tc.checkpoint_dir = Get(args, "checkpoint-dir", "");
   if (args.count("checkpoint-every")) {
-    tc.checkpoint_every = static_cast<std::size_t>(
-        std::atoi(Get(args, "checkpoint-every", "1").c_str()));
+    tc.checkpoint_every =
+        Flag(args, "checkpoint-every", "1", core::ParseUnsigned);
   }
   tc.resume = args.count("resume") > 0;
 
   WhitenRecConfig wc;
-  wc.relaxed_groups =
-      static_cast<std::size_t>(std::atoi(Get(args, "groups", "4").c_str()));
+  wc.relaxed_groups = Flag(args, "groups", "4", core::ParseUnsigned);
   const std::string wname = Get(args, "whitening", "zca");
   wc.whitening = wname == "pca"  ? WhiteningKind::kPca
                  : wname == "cd" ? WhiteningKind::kCholesky

@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "core/knobs.h"
 #include "whitening/flow_whitening.h"
 #include "whitening/whitening.h"
 #include "data/generator.h"
@@ -45,22 +46,6 @@ void Report(const char* name, const whitenrec::linalg::Matrix& z) {
   std::exit(2);
 }
 
-std::size_t ParseWhitenK(const char* value) {
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(value, &end, 10);
-  if (end == value || *end != '\0' || value[0] == '-') {
-    UsageError("--whiten-k: expected a non-negative integer");
-  }
-  return static_cast<std::size_t>(parsed);
-}
-
-whitenrec::linalg::ItemQuantKind ParseItemQuant(const char* value) {
-  using whitenrec::linalg::ItemQuantKind;
-  if (std::strcmp(value, "fp32") == 0) return ItemQuantKind::kFp32;
-  if (std::strcmp(value, "int8") == 0) return ItemQuantKind::kInt8;
-  if (std::strcmp(value, "bf16") == 0) return ItemQuantKind::kBf16;
-  UsageError("--item-quant: expected fp32, int8 or bf16");
-}
 
 }  // namespace
 
@@ -73,10 +58,17 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--whiten-k") == 0) {
       if (i + 1 >= argc) UsageError("--whiten-k: missing value");
-      whiten_k = ParseWhitenK(argv[++i]);
+      const Result<std::uint64_t> k = core::ParseUnsigned(argv[++i]);
+      if (!k.ok()) UsageError("--whiten-k: expected a non-negative integer");
+      whiten_k = k.value();
     } else if (std::strcmp(argv[i], "--item-quant") == 0) {
       if (i + 1 >= argc) UsageError("--item-quant: missing value");
-      quant_kind = ParseItemQuant(argv[++i]);
+      // Same choices as WHITENREC_ITEM_QUANT.
+      const char* value = argv[++i];
+      if (!core::knobs::MatchChoices(core::knobs::kItemQuant, value).ok()) {
+        UsageError("--item-quant: expected fp32, int8 or bf16");
+      }
+      quant_kind = linalg::ItemQuantKindFromName(value);
       quant_requested = true;
     } else {
       UsageError("unknown flag");

@@ -7,10 +7,10 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
+
+#include "core/knobs.h"
 
 namespace whitenrec {
 namespace core {
@@ -100,33 +100,7 @@ void FaultInjector::Configure(std::uint64_t seed, double rate) {
 }
 
 void FaultInjector::ConfigureFromEnv() {
-  std::uint64_t seed = 1;
-  double rate = 0.0;
-  if (const char* s = std::getenv("WHITENREC_FAULT_SEED")) {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(s, &end, 10);
-    if (end == s || *end != '\0') {
-      std::fprintf(stderr,
-                   "invalid WHITENREC_FAULT_SEED value '%s' (expected an "
-                   "unsigned integer)\n",
-                   s);
-      std::abort();
-    }
-    seed = static_cast<std::uint64_t>(v);
-  }
-  if (const char* s = std::getenv("WHITENREC_FAULT_RATE")) {
-    char* end = nullptr;
-    const double v = std::strtod(s, &end);
-    if (end == s || *end != '\0') {
-      std::fprintf(stderr,
-                   "invalid WHITENREC_FAULT_RATE value '%s' (expected a "
-                   "real number in [0, 1])\n",
-                   s);
-      std::abort();
-    }
-    rate = v;
-  }
-  Configure(seed, rate);
+  Configure(knobs::FaultSeed().value_or(1), knobs::FaultRate().value_or(0.0));
 }
 
 double FaultInjector::rate() const {

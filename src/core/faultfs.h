@@ -21,7 +21,8 @@ namespace core {
 // writes, torn renames, EIO, and silent bit-flips — from a seeded PRNG, so
 // a failing fault schedule is reproducible from WHITENREC_FAULT_SEED alone.
 //
-// Knobs (read once, lazily):
+// Knobs (core/knobs.def; read by ConfigureFromEnv, which the global injector
+// runs once on first use):
 //   WHITENREC_FAULT_RATE  probability in [0, 1] that any single I/O
 //                         operation faults (default 0 = disabled)
 //   WHITENREC_FAULT_SEED  seed for the fault schedule (default 1)

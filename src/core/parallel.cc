@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
-#include <cstdlib>
 #include <memory>
 
 #include "core/check.h"
+#include "core/knobs.h"
 
 namespace whitenrec {
 namespace core {
@@ -92,20 +91,7 @@ std::size_t HardwareThreads() {
 }
 
 std::size_t InitialThreadCount() {
-  const char* env = std::getenv("WHITENREC_THREADS");
-  if (env != nullptr && *env != '\0') {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(env, &end, 10);
-    if (end == env || *end != '\0' || v == 0) {
-      std::fprintf(stderr,
-                   "invalid WHITENREC_THREADS value '%s' (expected a "
-                   "positive integer)\n",
-                   env);
-      std::abort();
-    }
-    return static_cast<std::size_t>(v);
-  }
-  return HardwareThreads();
+  return knobs::Threads().value_or(HardwareThreads());
 }
 
 struct GlobalPool {

@@ -1,11 +1,10 @@
 #include "data/io.h"
 
-#include <cerrno>
-#include <cstdlib>
 #include <sstream>
 #include <vector>
 
 #include "core/faultfs.h"
+#include "core/knobs.h"
 
 namespace whitenrec {
 namespace data {
@@ -17,30 +16,15 @@ namespace {
 constexpr std::size_t kMaxItems = 1u << 28;
 constexpr std::size_t kMaxEmbedDim = 1u << 20;
 
-// Strict unsigned parse: every character must be a digit and the value must
-// fit. `stream >> value` is too lenient here — it accepts leading signs and,
-// worse, a malformed token simply stops extraction and looks like a clean
-// end of line.
-bool ParseIndex(const std::string& token, std::size_t* out) {
-  if (token.empty()) return false;
-  for (char ch : token) {
-    if (ch < '0' || ch > '9') return false;
-  }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(token.c_str(), &end, 10);
-  if (errno != 0 || end != token.c_str() + token.size()) return false;
-  *out = static_cast<std::size_t>(v);
-  return true;
-}
-
-bool ParseDouble(const std::string& token, double* out) {
-  if (token.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(token.c_str(), &end);
-  if (errno != 0 || end != token.c_str() + token.size()) return false;
-  *out = v;
+// Stores a parsed token in *out; false when the token is malformed. Indices
+// use core::ParseUnsigned (digits only, must fit): `stream >> value` is too
+// lenient here — it accepts leading signs and, worse, a malformed token
+// simply stops extraction and looks like a clean end of line. Feature reals
+// use the permissive data-file grammar, core::ParseFloatToken.
+template <typename T>
+bool Parsed(const Result<T>& parsed, T* out) {
+  if (!parsed.ok()) return false;
+  *out = parsed.value();
   return true;
 }
 
@@ -127,9 +111,9 @@ Result<Dataset> LoadDataset(const std::string& prefix) {
     std::string cats_tok;
     std::string dim_tok;
     if (!(header >> items_tok >> cats_tok >> dim_tok) ||
-        !ParseIndex(items_tok, &dataset.num_items) ||
-        !ParseIndex(cats_tok, &dataset.num_categories) ||
-        !ParseIndex(dim_tok, &embed_dim)) {
+        !Parsed(core::ParseUnsigned(items_tok), &dataset.num_items) ||
+        !Parsed(core::ParseUnsigned(cats_tok), &dataset.num_categories) ||
+        !Parsed(core::ParseUnsigned(dim_tok), &embed_dim)) {
       return MalformedLine(prefix + ".meta", 1, "malformed header");
     }
     std::string extra;
@@ -154,7 +138,7 @@ Result<Dataset> LoadDataset(const std::string& prefix) {
       std::string token;
       while (stream >> token) {
         std::size_t item = 0;
-        if (!ParseIndex(token, &item)) {
+        if (!Parsed(core::ParseUnsigned(token), &item)) {
           return MalformedLine(prefix + ".sequences", ln + 1,
                                "malformed item id '" + token + "'");
         }
@@ -188,11 +172,11 @@ Result<Dataset> LoadDataset(const std::string& prefix) {
       }
       std::size_t id = 0;
       std::size_t category = 0;
-      if (!ParseIndex(id_tok, &id)) {
+      if (!Parsed(core::ParseUnsigned(id_tok), &id)) {
         return MalformedLine(prefix + ".items", ln + 1,
                              "malformed item id '" + id_tok + "'");
       }
-      if (!ParseIndex(cat_tok, &category)) {
+      if (!Parsed(core::ParseUnsigned(cat_tok), &category)) {
         return MalformedLine(prefix + ".items", ln + 1,
                              "malformed category '" + cat_tok + "'");
       }
@@ -218,7 +202,8 @@ Result<Dataset> LoadDataset(const std::string& prefix) {
       std::string value_tok;
       for (std::size_t c = 0; c < embed_dim; ++c) {
         double v = 0.0;
-        if (!(stream >> value_tok) || !ParseDouble(value_tok, &v)) {
+        if (!(stream >> value_tok) ||
+            !Parsed(core::ParseFloatToken(value_tok), &v)) {
           return MalformedLine(
               prefix + ".items", ln + 1,
               "embedding row too short or malformed at column " +

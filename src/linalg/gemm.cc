@@ -1,11 +1,9 @@
 #include "linalg/gemm.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <string>
 
 #include "core/check.h"
+#include "core/knobs.h"
 #include "core/parallel.h"
 #include "linalg/workspace.h"
 
@@ -62,58 +60,24 @@ static_assert(kMc % kMr == 0, "row block must be a whole number of strips");
 // the variants are bitwise identical, so the dispatch is unobservable.
 constexpr std::size_t kBlockedMinWork = 8192;
 
-GemmKind KindFromEnv() {
-  const char* s = std::getenv("WHITENREC_GEMM");
-  if (s == nullptr || *s == '\0') return GemmKind::kBlocked;
-  const std::string v(s);
-  if (v == "naive") return GemmKind::kNaive;
-  if (v == "blocked") return GemmKind::kBlocked;
-  std::fprintf(stderr,
-               "invalid WHITENREC_GEMM value '%s' (expected naive|blocked)\n",
-               s);
-  std::abort();
-}
-
+// The process-wide settings below read their knob once, on first use.
 GemmKind& ActiveKind() {
-  static GemmKind kind = KindFromEnv();
+  static GemmKind kind = core::knobs::Gemm().value_or("blocked") == "naive"
+                             ? GemmKind::kNaive
+                             : GemmKind::kBlocked;
   return kind;
 }
 
-ScoringMode ModeFromEnv() {
-  const char* s = std::getenv("WHITENREC_SCORING");
-  if (s == nullptr || *s == '\0') return ScoringMode::kMaterialized;
-  const std::string v(s);
-  if (v == "materialized") return ScoringMode::kMaterialized;
-  if (v == "fused") return ScoringMode::kFused;
-  std::fprintf(
-      stderr,
-      "invalid WHITENREC_SCORING value '%s' (expected materialized|fused)\n",
-      s);
-  std::abort();
-}
-
 ScoringMode& ActiveScoringMode() {
-  static ScoringMode mode = ModeFromEnv();
+  static ScoringMode mode =
+      core::knobs::Scoring().value_or("materialized") == "fused"
+          ? ScoringMode::kFused
+          : ScoringMode::kMaterialized;
   return mode;
 }
 
-std::size_t TileFromEnv() {
-  const char* s = std::getenv("WHITENREC_SCORE_TILE");
-  if (s == nullptr || *s == '\0') return 256;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0' || v == 0) {
-    std::fprintf(stderr,
-                 "invalid WHITENREC_SCORE_TILE value '%s' (expected a "
-                 "positive integer)\n",
-                 s);
-    std::abort();
-  }
-  return static_cast<std::size_t>(v);
-}
-
 std::size_t& ActiveScoreTile() {
-  static std::size_t tile = TileFromEnv();
+  static std::size_t tile = core::knobs::ScoreTile().value_or(256);
   return tile;
 }
 

@@ -25,9 +25,8 @@ namespace linalg {
 // to the deterministic-training guarantee.
 enum class GemmKind { kNaive, kBlocked };
 
-// Active kernel variant. Initialized on first use from the WHITENREC_GEMM
-// environment variable ("naive" or "blocked"; default "blocked"; anything
-// else is a fatal configuration error).
+// Active kernel variant. Initialized on first use from WHITENREC_GEMM
+// ("naive" or "blocked"; default "blocked"; core/knobs.def).
 GemmKind CurrentGemmKind();
 void SetGemmKind(GemmKind kind);
 const char* GemmKindName(GemmKind kind);
@@ -79,8 +78,8 @@ void MatMulTransBAcc(const Matrix& a, const Matrix& b, Matrix* c);
 // Scoring-path selector. kMaterialized is the reference implementation (the
 // plain (rows, num_items) GEMM); kFused routes the softmax-CE loss and the
 // ranking evaluation through the streaming layer. Initialized on first use
-// from WHITENREC_SCORING ("materialized" or "fused"; default "materialized";
-// anything else is a fatal configuration error).
+// from WHITENREC_SCORING ("materialized" or "fused"; default
+// "materialized"; core/knobs.def).
 enum class ScoringMode { kMaterialized, kFused };
 
 ScoringMode CurrentScoringMode();

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <string>
 
 #include "core/check.h"
+#include "core/knobs.h"
 #include "linalg/workspace.h"
 
 // Quantized item tables (see quant.h). Everything numeric here is exact or
@@ -22,22 +20,10 @@ namespace linalg {
 
 namespace {
 
-ItemQuantKind QuantKindFromEnv() {
-  const char* s = std::getenv("WHITENREC_ITEM_QUANT");
-  if (s == nullptr || *s == '\0') return ItemQuantKind::kFp32;
-  const std::string v(s);
-  if (v == "fp32") return ItemQuantKind::kFp32;
-  if (v == "int8") return ItemQuantKind::kInt8;
-  if (v == "bf16") return ItemQuantKind::kBf16;
-  std::fprintf(
-      stderr,
-      "invalid WHITENREC_ITEM_QUANT value '%s' (expected fp32|int8|bf16)\n",
-      s);
-  std::abort();
-}
-
+// Read once, on first use.
 ItemQuantKind& ActiveQuantKind() {
-  static ItemQuantKind kind = QuantKindFromEnv();
+  static ItemQuantKind kind =
+      ItemQuantKindFromName(core::knobs::ItemQuant().value_or("fp32"));
   return kind;
 }
 
@@ -75,6 +61,15 @@ const char* ItemQuantKindName(ItemQuantKind kind) {
       return "bf16";
   }
   return "unknown";
+}
+
+ItemQuantKind ItemQuantKindFromName(std::string_view name) {
+  for (ItemQuantKind kind :
+       {ItemQuantKind::kFp32, ItemQuantKind::kInt8, ItemQuantKind::kBf16}) {
+    if (name == ItemQuantKindName(kind)) return kind;
+  }
+  WR_CHECK_MSG(false, "unknown item quant kind");
+  return ItemQuantKind::kFp32;
 }
 
 double RoundHalfToEven(double x) {

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "linalg/gemm.h"
@@ -39,11 +40,13 @@ namespace linalg {
 enum class ItemQuantKind { kFp32, kInt8, kBf16 };
 
 // Active representation. Initialized on first use from WHITENREC_ITEM_QUANT
-// ("fp32", "int8" or "bf16"; default "fp32"; anything else is a fatal
-// configuration error). Settable for tests and sweeps.
+// (core/knobs.def; default "fp32"). Settable for tests and sweeps.
 ItemQuantKind CurrentItemQuantKind();
 void SetItemQuantKind(ItemQuantKind kind);
 const char* ItemQuantKindName(ItemQuantKind kind);
+// Inverse of ItemQuantKindName; `name` must be one of its spellings (the
+// WHITENREC_ITEM_QUANT choices).
+ItemQuantKind ItemQuantKindFromName(std::string_view name);
 
 // Round half to even, implemented with explicit arithmetic so the result
 // does not depend on the floating-point environment's rounding mode.

@@ -1,14 +1,12 @@
 #include "retrieval/scorer.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "core/check.h"
+#include "core/knobs.h"
 #include "core/parallel.h"
 #include "linalg/quant.h"
 #include "retrieval/ivf_index.h"
@@ -18,20 +16,6 @@ namespace retrieval {
 namespace {
 
 using linalg::Matrix;
-
-// Strict env parsing, same contract as the WHITENREC_GEMM family.
-std::size_t EnvSize(const char* name, std::size_t fallback) {
-  const char* s = std::getenv(name);
-  if (s == nullptr || *s == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0') {
-    std::fprintf(stderr, "%s: expected a non-negative integer, got \"%s\"\n",
-                 name, s);
-    std::abort();
-  }
-  return static_cast<std::size_t>(v);
-}
 
 // Shared probe + rerank pass over a built family index. Rows are independent
 // pure functions of the installed index, so the per-row ParallelFor cannot
@@ -207,26 +191,11 @@ const char* ScorerKindName(ScorerKind kind) {
 
 ScorerConfig ScorerConfig::FromEnv() {
   ScorerConfig config;
-  const char* kind = std::getenv("WHITENREC_SCORER");
-  if (kind != nullptr && *kind != '\0') {
-    if (std::strcmp(kind, "exact") == 0) {
-      config.kind = ScorerKind::kExact;
-    } else if (std::strcmp(kind, "ivf") == 0) {
-      config.kind = ScorerKind::kIvf;
-    } else {
-      std::fprintf(stderr,
-                   "WHITENREC_SCORER: expected \"exact\" or \"ivf\", got "
-                   "\"%s\"\n",
-                   kind);
-      std::abort();
-    }
+  if (core::knobs::Scorer().value_or("exact") == "ivf") {
+    config.kind = ScorerKind::kIvf;
   }
-  config.clusters = EnvSize("WHITENREC_IVF_CLUSTERS", config.clusters);
-  config.nprobe = EnvSize("WHITENREC_IVF_NPROBE", config.nprobe);
-  if (config.kind == ScorerKind::kIvf && config.nprobe == 0) {
-    std::fprintf(stderr, "WHITENREC_IVF_NPROBE: must be >= 1\n");
-    std::abort();
-  }
+  config.clusters = core::knobs::IvfClusters().value_or(config.clusters);
+  config.nprobe = core::knobs::IvfNprobe().value_or(config.nprobe);
   return config;
 }
 

@@ -29,8 +29,8 @@ using Scorer = linalg::Scorer;
 // Knobs. Defaults() gives the compiled-in values; FromEnv() overlays
 //   WHITENREC_SCORER        "exact" | "ivf"
 //   WHITENREC_IVF_CLUSTERS  k-means clusters (0 = auto ~sqrt(num_items))
-//   WHITENREC_IVF_NPROBE    probed clusters per query
-// A set-but-malformed value aborts loudly, same contract as WHITENREC_GEMM.
+//   WHITENREC_IVF_NPROBE    probed clusters per query (>= 1)
+// Parsed by the core/knobs accessors; see core/knobs.def for the grammar.
 struct ScorerConfig {
   ScorerKind kind = ScorerKind::kExact;
   std::size_t clusters = 0;  // 0 = auto

@@ -1,7 +1,6 @@
 #include "serve/chaos.h"
 
-#include <cstdio>
-#include <cstdlib>
+#include "core/knobs.h"
 
 namespace whitenrec {
 namespace serve {
@@ -36,33 +35,8 @@ void ChaosInjector::Configure(std::uint64_t seed, double rate) {
 }
 
 void ChaosInjector::ConfigureFromEnv() {
-  std::uint64_t seed = 1;
-  double rate = 0.0;
-  if (const char* s = std::getenv("WHITENREC_CHAOS_SEED")) {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(s, &end, 10);
-    if (end == s || *end != '\0') {
-      std::fprintf(stderr,
-                   "invalid WHITENREC_CHAOS_SEED value '%s' (expected an "
-                   "unsigned integer)\n",
-                   s);
-      std::abort();
-    }
-    seed = static_cast<std::uint64_t>(v);
-  }
-  if (const char* s = std::getenv("WHITENREC_CHAOS_RATE")) {
-    char* end = nullptr;
-    const double v = std::strtod(s, &end);
-    if (end == s || *end != '\0') {
-      std::fprintf(stderr,
-                   "invalid WHITENREC_CHAOS_RATE value '%s' (expected a "
-                   "real number in [0, 1])\n",
-                   s);
-      std::abort();
-    }
-    rate = v;
-  }
-  Configure(seed, rate);
+  Configure(core::knobs::ChaosSeed().value_or(1),
+            core::knobs::ChaosRate().value_or(0.0));
 }
 
 double ChaosInjector::rate() const {

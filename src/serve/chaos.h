@@ -14,7 +14,7 @@ namespace serve {
 // corrupted ingest feature rows, and refit failures injected between the
 // feature swap and the index rebuild (the widest window for a torn update).
 //
-// Knobs (read once at construction, strict parse-or-abort):
+// Knobs (core/knobs.def; read once at construction):
 //   WHITENREC_CHAOS_RATE  probability in [0, 1] that any single decision
 //                         point faults (default 0 = disabled)
 //   WHITENREC_CHAOS_SEED  seed for the chaos schedule (default 1)

@@ -1,9 +1,9 @@
 #include "serve/degrade.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "core/check.h"
+#include "core/knobs.h"
 
 namespace whitenrec {
 namespace serve {
@@ -29,44 +29,24 @@ const char* RungKindName(RungKind kind) {
 }
 
 Result<std::vector<LadderRung>> ParseLadderSpec(const std::string& spec) {
+  Result<std::vector<core::knobs::Choice>> choices =
+      core::knobs::MatchChoices(core::knobs::kDegradeLadder, spec);
+  if (!choices.ok()) {
+    return Status::InvalidArgument("ladder spec: " +
+                                   choices.status().message());
+  }
   std::vector<LadderRung> rungs;
-  std::size_t pos = 0;
-  while (pos <= spec.size()) {
-    std::size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) comma = spec.size();
-    const std::string token = spec.substr(pos, comma - pos);
-    pos = comma + 1;
-    LadderRung rung;
-    if (token == "exact") {
-      rung.kind = RungKind::kExact;
-      rung.cost_factor = 1.0;
-    } else if (token == "popularity") {
+  for (const core::knobs::Choice& choice : choices.value()) {
+    LadderRung rung;  // the defaults are the "exact" rung
+    if (choice.word == "ivf") {
+      rung.kind = RungKind::kIvf;
+      rung.nprobe = static_cast<std::size_t>(choice.n);
+      rung.cost_factor = IvfCostFactor(rung.nprobe);
+    } else if (choice.word == "popularity") {
       rung.kind = RungKind::kPopularity;
       rung.cost_factor = 0.02;
-    } else if (token.rfind("ivf:", 0) == 0) {
-      const std::string num = token.substr(4);
-      if (num.empty()) {
-        return Status::InvalidArgument("ladder rung \"" + token +
-                                       "\": ivf needs a positive nprobe");
-      }
-      char* end = nullptr;
-      const unsigned long long v = std::strtoull(num.c_str(), &end, 10);
-      if (end == num.c_str() || *end != '\0' || v == 0) {
-        return Status::InvalidArgument("ladder rung \"" + token +
-                                       "\": ivf needs a positive nprobe");
-      }
-      rung.kind = RungKind::kIvf;
-      rung.nprobe = static_cast<std::size_t>(v);
-      rung.cost_factor = IvfCostFactor(rung.nprobe);
-    } else {
-      return Status::InvalidArgument(
-          "ladder rung \"" + token +
-          "\": expected exact | ivf:<nprobe> | popularity");
     }
     rungs.push_back(rung);
-  }
-  if (rungs.empty()) {
-    return Status::InvalidArgument("empty ladder spec");
   }
   return rungs;
 }

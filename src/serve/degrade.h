@@ -28,10 +28,11 @@ struct LadderRung {
 
 // Parses a ladder spec — comma-separated rungs, each one of
 //   exact | ivf:<nprobe> | popularity
-// e.g. "exact,ivf:8,ivf:2,popularity" (the WHITENREC_DEGRADE_LADDER format).
-// Rejects empty specs, unknown rung names, and ivf without a positive
-// nprobe. Cost factors are assigned per kind (exact 1.0; ivf shrinking with
-// nprobe; popularity 0.02).
+// e.g. "exact,ivf:8,ivf:2,popularity". The grammar is the
+// WHITENREC_DEGRADE_LADDER row of core/knobs.def (core::knobs::MatchChoices):
+// empty specs or rungs, unknown rung names, and an nprobe that is not a
+// strict unsigned >= 1 are rejected. Cost factors are assigned per kind
+// (exact 1.0; ivf shrinking with nprobe; popularity 0.02).
 Result<std::vector<LadderRung>> ParseLadderSpec(const std::string& spec);
 
 struct LadderConfig {

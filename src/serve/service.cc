@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <optional>
+#include <string>
 #include <utility>
 
 #include "core/check.h"
+#include "core/knobs.h"
 #include "core/parallel.h"
 #include "eval/conditioning.h"
 #include "whitening/whiten_encoder.h"
@@ -20,26 +21,6 @@ namespace {
 
 using linalg::Matrix;
 
-// Strict env parsing, same contract as the WHITENREC_GEMM family: a set but
-// malformed value aborts loudly rather than silently serving with defaults.
-std::size_t EnvSize(const char* name, std::size_t fallback) {
-  const char* s = std::getenv(name);
-  if (s == nullptr || *s == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0') {
-    std::fprintf(stderr, "%s: expected a non-negative integer, got \"%s\"\n",
-                 name, s);
-    std::abort();
-  }
-  return static_cast<std::size_t>(v);
-}
-
-std::uint64_t EnvU64(const char* name, std::uint64_t fallback) {
-  return static_cast<std::uint64_t>(
-      EnvSize(name, static_cast<std::size_t>(fallback)));
-}
-
 // Quarantined feature rows kept for inspection; the ServeStats counter keeps
 // counting past the cap so a poisoning flood is still visible in full.
 constexpr std::size_t kQuarantineCap = 256;
@@ -47,27 +28,20 @@ constexpr std::size_t kQuarantineCap = 256;
 }  // namespace
 
 ServeConfig ServeConfig::FromEnv() {
+  namespace knobs = core::knobs;
   ServeConfig config;
-  config.top_k = EnvSize("WHITENREC_SERVE_TOPK", config.top_k);
+  config.top_k = knobs::ServeTopk().value_or(config.top_k);
   config.max_cached_sessions =
-      EnvSize("WHITENREC_SERVE_CACHE_SESSIONS", config.max_cached_sessions);
-  config.max_batch = EnvSize("WHITENREC_SERVE_MAX_BATCH", config.max_batch);
+      knobs::ServeCacheSessions().value_or(config.max_cached_sessions);
+  config.max_batch = knobs::ServeMaxBatch().value_or(config.max_batch);
   config.batch_window_ns =
-      EnvU64("WHITENREC_SERVE_WINDOW_NS", config.batch_window_ns);
-  config.refit_every = EnvSize("WHITENREC_SERVE_REFIT_EVERY",
-                               config.refit_every);
-  config.deadline_ns =
-      EnvU64("WHITENREC_SERVE_DEADLINE_NS", config.deadline_ns);
-  config.queue_max = EnvSize("WHITENREC_SERVE_QUEUE_MAX", config.queue_max);
-  const char* ladder = std::getenv("WHITENREC_DEGRADE_LADDER");
-  if (ladder != nullptr && *ladder != '\0') {
-    Result<std::vector<LadderRung>> rungs = ParseLadderSpec(ladder);
-    if (!rungs.ok()) {
-      std::fprintf(stderr, "WHITENREC_DEGRADE_LADDER: %s\n",
-                   rungs.status().message().c_str());
-      std::abort();
-    }
-    config.ladder.rungs = std::move(rungs).ValueOrDie();
+      knobs::ServeWindowNs().value_or(config.batch_window_ns);
+  config.refit_every = knobs::ServeRefitEvery().value_or(config.refit_every);
+  config.deadline_ns = knobs::ServeDeadlineNs().value_or(config.deadline_ns);
+  config.queue_max = knobs::ServeQueueMax().value_or(config.queue_max);
+  if (const std::optional<std::string> ladder = knobs::DegradeLadder()) {
+    // The accessor already validated the spec against the same grammar.
+    config.ladder.rungs = ParseLadderSpec(*ladder).ValueOrDie();
   }
   config.scorer = retrieval::ScorerConfig::FromEnv();
   return config;
@@ -130,17 +104,15 @@ void RecommendService::RebuildScorers() {
 
 bool RecommendService::AppendAndEncode(Session* session, std::size_t item,
                                        Matrix* h_row) const {
-  const std::size_t max_len = model_->config().max_len;
-  if (session->window.size() == max_len) {
-    // Window shift: every remaining position moves down by one, so all
-    // cached K/V rows are stale. Drop the oldest item and replay.
-    session->window.erase(session->window.begin());
-    session->state.Clear();
-    session->has_state = false;
-  }
+  // A window shift moves every remaining position down by one, so all cached
+  // K/V rows are stale: drop the oldest item and replay. The session keeps
+  // has_state (it holds state again once this call returns), so the
+  // stateful-session count stays exact.
+  const bool shift = session->window.size() == model_->config().max_len;
+  if (shift) session->window.erase(session->window.begin());
   session->window.push_back(item);
-  const bool incremental = session->has_state;
-  if (!session->has_state) {
+  const bool incremental = session->has_state && !shift;
+  if (!incremental) {
     session->state.Clear();
     for (std::size_t t = 0; t + 1 < session->window.size(); ++t) {
       model_->EncodeSequenceStep(item_table_, session->window[t],

@@ -35,8 +35,9 @@ namespace serve {
 // plus the retrieval knobs (retrieval/scorer.h): WHITENREC_SCORER selects
 // exact fused scoring or the sublinear IVF index, WHITENREC_IVF_CLUSTERS /
 // WHITENREC_IVF_NPROBE size it.
-// Malformed values abort with a message naming the variable, same contract
-// as the WHITENREC_GEMM/WHITENREC_SCORING knobs.
+// Every value is parsed by its core/knobs accessor (rows in core/knobs.def):
+// a malformed or out-of-range value aborts with a message naming the
+// variable. FromEnv re-reads the environment on every call.
 struct ServeConfig {
   // Recommendations returned per request.
   std::size_t top_k = 10;

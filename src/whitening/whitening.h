@@ -89,8 +89,7 @@ Result<FittedWhitening> FitWhiteningFromMoments(std::vector<double> mean,
                                                 const WhiteningOptions& options);
 
 // Whitening truncation rank from WHITENREC_WHITEN_K (0 = full rank, the
-// default). Parsed strictly on first use: a set-but-malformed value is a
-// fatal configuration error, same contract as the WHITENREC_GEMM family.
+// default; core/knobs.def), read once on first use.
 // WhitenRecConfig defaults its whiten_k from this, so the knob reaches every
 // encoder factory without call-site plumbing.
 std::size_t WhitenKFromEnv();

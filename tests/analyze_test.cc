@@ -186,94 +186,107 @@ TEST(LayeringTest, UnrankedModuleIsExemptFromOrderButNotCycles) {
 TEST(KnobsTest, ParseKnobsDefAcceptsCommentsAndAttributes) {
   std::vector<Finding> findings;
   const std::vector<KnobDecl> decls = ParseKnobsDef(
-      "# registry header comment\n"
+      "// registry header comment\n"
       "\n"
-      "knob WHITENREC_FIXTURE_A type=size owner=src/core/a.cc\n"
-      "knob WHITENREC_FIXTURE_B type=enum  # trailing comment\n",
-      "tools/analyze/knobs.def", &findings);
+      "WR_KNOB(WHITENREC_FIXTURE_A, FixtureA, size, 1, kUnbounded, \"\", "
+      "\"src/core/a.cc\")\n"
+      "WR_KNOB(WHITENREC_FIXTURE_B, FixtureB, enum, 1, 1, \"x|y\", \"b.cc\")"
+      "  // trailing comment\n"
+      "WR_BUILD_OPTION(WHITENREC_FIXTURE_OPT)\n",
+      "src/core/knobs.def", &findings);
   EXPECT_TRUE(findings.empty());
-  ASSERT_EQ(decls.size(), 2u);
+  ASSERT_EQ(decls.size(), 3u);
   EXPECT_EQ(decls[0].name, "WHITENREC_FIXTURE_A");
+  EXPECT_EQ(decls[0].accessor, "FixtureA");
   EXPECT_EQ(decls[0].type, "size");
   EXPECT_EQ(decls[0].owner, "src/core/a.cc");
+  EXPECT_EQ(decls[0].line, 3u);
   EXPECT_EQ(decls[1].type, "enum");
+  EXPECT_EQ(decls[2].type, "cmake");
+  EXPECT_EQ(decls[2].accessor, "");
 }
 
 TEST(KnobsTest, ParseKnobsDefFlagsMalformedLines) {
   std::vector<Finding> findings;
   const std::vector<KnobDecl> decls = ParseKnobsDef(
-      "blob WHITENREC_FIXTURE_A type=size\n"
-      "knob lowercase_name type=size\n"
-      "knob WHITENREC_FIXTURE_C type=quaternion\n"
-      "knob WHITENREC_FIXTURE_D type=size stray\n",
-      "tools/analyze/knobs.def", &findings);
+      "WR_FLAG(WHITENREC_FIXTURE_A)\n"
+      "WR_KNOB(lowercase_name, Low, size, 0, 1, \"\", \"o.cc\")\n"
+      "WR_KNOB(WHITENREC_FIXTURE_C, C, quaternion, 0, 1, \"\", \"o.cc\")\n"
+      "WR_KNOB(WHITENREC_FIXTURE_D, D, size, 0, 1, \"\")\n",
+      "src/core/knobs.def", &findings);
   EXPECT_TRUE(decls.empty());
   ASSERT_EQ(findings.size(), 4u);
   for (const Finding& f : findings) {
     EXPECT_EQ(f.rule, "knob-registry-syntax");
-    EXPECT_EQ(f.file, "tools/analyze/knobs.def");
+    EXPECT_EQ(f.file, "src/core/knobs.def");
   }
 }
 
 TEST(KnobsTest, DuplicateRegistryEntryFires) {
   TreeInputs inputs;
   inputs.knobs_def =
-      "knob WHITENREC_FIXTURE_A type=string\n"
-      "knob WHITENREC_FIXTURE_A type=string\n";
+      "WR_KNOB(WHITENREC_FIXTURE_A, FixtureA, string, 0, 0, \"\", \"a.cc\")\n"
+      "WR_KNOB(WHITENREC_FIXTURE_A, FixtureA, string, 0, 0, \"\", \"a.cc\")\n";
   inputs.readme = "uses WHITENREC_FIXTURE_A\n";
   const SourceTree tree = TreeOf(
-      {{"src/core/a.cc", "auto* v = std::getenv(\"WHITENREC_FIXTURE_A\");\n"}});
-  const std::vector<Finding> f =
-      WithRule(CheckKnobs(tree, inputs), "knob-registry-syntax");
+      {{"src/core/a.cc", "auto v = core::knobs::FixtureA();\n"}});
+  const std::vector<Finding> f = CheckKnobs(tree, inputs);
   ASSERT_EQ(f.size(), 1u);
+  EXPECT_EQ(f[0].rule, "knob-registry-syntax");
   EXPECT_EQ(f[0].line, 2u);
   EXPECT_NE(f[0].message.find("duplicate"), std::string::npos);
 }
 
 TEST(KnobsTest, UnregisteredKnobReadFires) {
+  // A test setting a knob nothing declares would silently test nothing.
   TreeInputs inputs;
-  inputs.knobs_def = "# empty registry\n";
+  inputs.knobs_def = "// empty registry\n";
   inputs.readme = "";
   const SourceTree tree = TreeOf(
-      {{"src/core/a.cc",
-        "int f() {\n  auto* v = std::getenv(\"WHITENREC_FIXTURE_GHOST\");\n"
-        "  return v != nullptr;\n}\n"}});
+      {{"tests/a_test.cc",
+        "void F() {\n  setenv(\"WHITENREC_FIXTURE_GHOST\", \"1\", 1);\n"
+        "}\n"}});
   const std::vector<Finding> f = CheckKnobs(tree, inputs);
   ASSERT_EQ(f.size(), 1u);
   EXPECT_EQ(f[0].rule, "unregistered-knob");
-  EXPECT_EQ(f[0].file, "src/core/a.cc");
+  EXPECT_EQ(f[0].file, "tests/a_test.cc");
   EXPECT_EQ(f[0].line, 2u);
 }
 
 TEST(KnobsTest, KnobNameInErrorMessageIsNotARead) {
-  // Only `accessor ( "WHITENREC_X"` counts; a name embedded in an error
-  // string or compared against does not create a phantom read site.
+  // Only `getenv|setenv|unsetenv ( "WHITENREC_X"` counts; a name embedded in
+  // an error string or compared against does not create a phantom read.
   TreeInputs inputs;
-  inputs.knobs_def = "# empty registry\n";
+  inputs.knobs_def = "// empty registry\n";
   inputs.readme = "";
   const SourceTree tree = TreeOf(
       {{"src/core/a.cc",
         "void f() {\n"
         "  std::fprintf(stderr, \"invalid WHITENREC_FIXTURE_GHOST value\");\n"
+        "  Check(\"WHITENREC_FIXTURE_GHOST\");\n"
         "}\n"}});
   EXPECT_TRUE(CheckKnobs(tree, inputs).empty());
 }
 
 TEST(KnobsTest, DeadKnobFires) {
   TreeInputs inputs;
-  inputs.knobs_def = "knob WHITENREC_FIXTURE_UNUSED type=size\n";
+  inputs.knobs_def =
+      "WR_KNOB(WHITENREC_FIXTURE_UNUSED, FixtureUnused, size, 0, kUnbounded, "
+      "\"\", \"a.cc\")\n";
   inputs.readme = "documents WHITENREC_FIXTURE_UNUSED\n";
-  const SourceTree tree = TreeOf({{"src/core/a.cc", "int x;\n"}});
+  // An unqualified FixtureUnused is some other name, not the accessor.
+  const SourceTree tree =
+      TreeOf({{"src/core/a.cc", "int FixtureUnused() { return 0; }\n"}});
   const std::vector<Finding> f = CheckKnobs(tree, inputs);
   ASSERT_EQ(f.size(), 1u);
   EXPECT_EQ(f[0].rule, "dead-knob");
-  EXPECT_EQ(f[0].file, "tools/analyze/knobs.def");
+  EXPECT_EQ(f[0].file, "src/core/knobs.def");
   EXPECT_EQ(f[0].line, 1u);
 }
 
 TEST(KnobsTest, CmakeKnobsAreExemptFromDeadAndSiteChecks) {
   TreeInputs inputs;
-  inputs.knobs_def = "knob WHITENREC_FIXTURE_OPT type=cmake\n";
+  inputs.knobs_def = "WR_BUILD_OPTION(WHITENREC_FIXTURE_OPT)\n";
   inputs.readme = "build with WHITENREC_FIXTURE_OPT\n";
   const SourceTree tree = TreeOf({{"src/core/a.cc", "int x;\n"}});
   EXPECT_TRUE(CheckKnobs(tree, inputs).empty());
@@ -281,22 +294,23 @@ TEST(KnobsTest, CmakeKnobsAreExemptFromDeadAndSiteChecks) {
 
 TEST(KnobsTest, UndocumentedKnobFires) {
   TreeInputs inputs;
-  inputs.knobs_def = "knob WHITENREC_FIXTURE_HIDDEN type=string\n";
+  inputs.knobs_def =
+      "WR_KNOB(WHITENREC_FIXTURE_HIDDEN, FixtureHidden, string, 0, 0, \"\", "
+      "\"a.cc\")\n";
   inputs.readme = "no mention of the knob here\n";
   const SourceTree tree = TreeOf(
-      {{"src/core/a.cc",
-        "auto* v = std::getenv(\"WHITENREC_FIXTURE_HIDDEN\");\n"}});
+      {{"src/core/a.cc", "auto v = knobs::FixtureHidden();\n"}});
   const std::vector<Finding> f = CheckKnobs(tree, inputs);
   ASSERT_EQ(f.size(), 1u);
   EXPECT_EQ(f[0].rule, "undocumented-knob");
-  EXPECT_EQ(f[0].file, "tools/analyze/knobs.def");
+  EXPECT_EQ(f[0].file, "src/core/knobs.def");
 }
 
 TEST(KnobsTest, PrefixedMentionDoesNotDocument) {
   // "-DWHITENREC_FIXTURE_X" is a different word than the knob name; only an
   // exact standalone mention counts as documentation.
   TreeInputs inputs;
-  inputs.knobs_def = "knob WHITENREC_FIXTURE_X type=cmake\n";
+  inputs.knobs_def = "WR_BUILD_OPTION(WHITENREC_FIXTURE_X)\n";
   inputs.readme = "configure with -DWHITENREC_FIXTURE_X=ON\n";
   const std::vector<Finding> f =
       WithRule(CheckKnobs(TreeOf({}), inputs), "undocumented-knob");
@@ -305,7 +319,7 @@ TEST(KnobsTest, PrefixedMentionDoesNotDocument) {
 
 TEST(KnobsTest, ReadmeDocumentingUnknownKnobFires) {
   TreeInputs inputs;
-  inputs.knobs_def = "# empty registry\n";
+  inputs.knobs_def = "// empty registry\n";
   inputs.readme = "intro\nset WHITENREC_FIXTURE_STALE to tune nothing\n";
   const SourceTree tree = TreeOf({{"src/core/a.cc", "int x;\n"}});
   const std::vector<Finding> f = CheckKnobs(tree, inputs);
@@ -315,12 +329,25 @@ TEST(KnobsTest, ReadmeDocumentingUnknownKnobFires) {
   EXPECT_EQ(f[0].line, 2u);
 }
 
-TEST(KnobsTest, LaxNumericParseFires) {
+// A registered, documented size knob plus a file that reads it through its
+// accessor: the baseline the raw-getenv cases below add to.
+TreeInputs SizeKnobInputs() {
   TreeInputs inputs;
-  inputs.knobs_def = "knob WHITENREC_FIXTURE_N type=size\n";
+  inputs.knobs_def =
+      "WR_KNOB(WHITENREC_FIXTURE_N, FixtureN, size, 1, kUnbounded, \"\", "
+      "\"a.cc\")\n";
   inputs.readme = "docs for WHITENREC_FIXTURE_N\n";
+  return inputs;
+}
+
+const SourceFile kAccessorUse = {
+    "src/core/use.cc",
+    "std::size_t N() { return core::knobs::FixtureN().value_or(1); }\n"};
+
+TEST(KnobsTest, LaxNumericParseFires) {
   const SourceTree tree = TreeOf(
-      {{"src/core/a.cc",
+      {kAccessorUse,
+       {"src/core/a.cc",
         "std::size_t F() {\n"
         "  const char* e = std::getenv(\"WHITENREC_FIXTURE_N\");\n"
         "  if (e != nullptr) {\n"
@@ -329,53 +356,70 @@ TEST(KnobsTest, LaxNumericParseFires) {
         "  }\n"
         "  return 1;\n"
         "}\n"}});
-  const std::vector<Finding> f = CheckKnobs(tree, inputs);
-  ASSERT_EQ(f.size(), 1u);
-  EXPECT_EQ(f[0].rule, "lax-knob-parse");
+  const std::vector<Finding> f = CheckKnobs(tree, SizeKnobInputs());
+  ASSERT_EQ(f.size(), 2u);
+  EXPECT_EQ(f[0].rule, "raw-getenv");
+  EXPECT_EQ(f[0].file, "src/core/a.cc");
   EXPECT_EQ(f[0].line, 2u);
+  EXPECT_EQ(f[1].rule, "raw-parse");
+  EXPECT_EQ(f[1].line, 4u);
+}
+
+TEST(KnobsTest, RawParseFiresOutsideKnobsAndJsonModules) {
+  const std::string parse =
+      "double F(const char* s) { return std::strtod(s, nullptr); }\n"
+      "int G(const std::string& s) { return std::stoi(s); }\n";
+  const SourceTree tree = TreeOf({kAccessorUse,
+                                  {"examples/cli.cpp", parse},
+                                  {"src/core/json.cc", parse},
+                                  {"src/core/knobs.cc", parse}});
+  const std::vector<Finding> f = CheckKnobs(tree, SizeKnobInputs());
+  ASSERT_EQ(f.size(), 2u);
+  for (const Finding& finding : f) {
+    EXPECT_EQ(finding.rule, "raw-parse");
+    EXPECT_EQ(finding.file, "examples/cli.cpp");
+  }
 }
 
 TEST(KnobsTest, StrictStrtoPlusAbortIsClean) {
-  TreeInputs inputs;
-  inputs.knobs_def = "knob WHITENREC_FIXTURE_N type=size\n";
-  inputs.readme = "docs for WHITENREC_FIXTURE_N\n";
+  // src/core/knobs.cc is the one module allowed to read the environment.
   const SourceTree tree = TreeOf(
-      {{"src/core/a.cc",
-        "std::size_t F() {\n"
-        "  const char* e = std::getenv(\"WHITENREC_FIXTURE_N\");\n"
-        "  if (e == nullptr) return 1;\n"
+      {kAccessorUse,
+       {"src/core/knobs.cc",
+        "std::uint64_t Read(const char* name) {\n"
+        "  const char* e = std::getenv(name);\n"
         "  char* end = nullptr;\n"
         "  const unsigned long long v = std::strtoull(e, &end, 10);\n"
-        "  if (end == e || *end != 0 || v == 0) std::abort();\n"
-        "  return static_cast<std::size_t>(v);\n"
+        "  if (end == e || *end != 0) std::abort();\n"
+        "  return v;\n"
         "}\n"}});
-  EXPECT_TRUE(CheckKnobs(tree, inputs).empty());
+  EXPECT_TRUE(CheckKnobs(tree, SizeKnobInputs()).empty());
 }
 
 TEST(KnobsTest, OrDieDelegationIsClean) {
-  TreeInputs inputs;
-  inputs.knobs_def = "knob WHITENREC_FIXTURE_N type=size\n";
-  inputs.readme = "docs for WHITENREC_FIXTURE_N\n";
+  // Delegating to the accessor, which aborts on a malformed value, is the
+  // only read a bench needs.
   const SourceTree tree = TreeOf(
       {{"bench/b.cc",
         "std::size_t F() {\n"
-        "  const char* e = std::getenv(\"WHITENREC_FIXTURE_N\");\n"
-        "  return e == nullptr ? 1 : ParseSizeOrDie(e);\n"
+        "  namespace knobs = core::knobs;\n"
+        "  return knobs::FixtureN().value_or(1);\n"
         "}\n"}});
-  EXPECT_TRUE(CheckKnobs(tree, inputs).empty());
+  EXPECT_TRUE(CheckKnobs(tree, SizeKnobInputs()).empty());
 }
 
 TEST(KnobsTest, EnumNeedsLoudRejectionOnly) {
+  // An enum's rejection is its row's choices list; the reader just compares
+  // the validated spelling.
   TreeInputs inputs;
-  inputs.knobs_def = "knob WHITENREC_FIXTURE_MODE type=enum\n";
+  inputs.knobs_def =
+      "WR_KNOB(WHITENREC_FIXTURE_MODE, FixtureMode, enum, 1, 1, "
+      "\"fast|slow\", \"a.cc\")\n";
   inputs.readme = "docs for WHITENREC_FIXTURE_MODE\n";
   const SourceTree tree = TreeOf(
       {{"src/core/a.cc",
-        "int F() {\n"
-        "  const char* e = std::getenv(\"WHITENREC_FIXTURE_MODE\");\n"
-        "  if (e == nullptr) return 0;\n"
-        "  WR_CHECK(std::string(e) == \"fast\");\n"
-        "  return 1;\n"
+        "bool Slow() {\n"
+        "  return core::knobs::FixtureMode().value_or(\"fast\") == \"slow\";\n"
         "}\n"}});
   EXPECT_TRUE(CheckKnobs(tree, inputs).empty());
 }
@@ -383,53 +427,60 @@ TEST(KnobsTest, EnumNeedsLoudRejectionOnly) {
 TEST(KnobsTest, StringKnobAndStrictHelpersAreExempt) {
   TreeInputs inputs;
   inputs.knobs_def =
-      "knob WHITENREC_FIXTURE_DIR type=string\n"
-      "knob WHITENREC_FIXTURE_N type=size\n";
+      "WR_KNOB(WHITENREC_FIXTURE_DIR, FixtureDir, string, 0, 0, \"\", "
+      "\"s.cc\")\n"
+      "WR_KNOB(WHITENREC_FIXTURE_N, FixtureN, size, 0, kUnbounded, \"\", "
+      "\"s.cc\")\n";
   inputs.readme =
       "docs for WHITENREC_FIXTURE_DIR and WHITENREC_FIXTURE_N\n";
   const SourceTree tree = TreeOf(
       {{"src/serve/s.cc",
         "void F() {\n"
-        "  const char* d = std::getenv(\"WHITENREC_FIXTURE_DIR\");\n"
-        "  const std::size_t n = EnvSize(\"WHITENREC_FIXTURE_N\", 4);\n"
+        "  const std::string d = core::knobs::FixtureDir().value_or(\"out\");\n"
+        "  const std::size_t n = core::knobs::FixtureN().value_or(4);\n"
         "  (void)d; (void)n;\n"
         "}\n"}});
   EXPECT_TRUE(CheckKnobs(tree, inputs).empty());
 }
 
-TEST(KnobsTest, TestsAreOutsideStrictScope) {
-  // Tests may read knobs laxly (they set the values themselves); the
-  // registration requirement still applies there.
-  TreeInputs inputs;
-  inputs.knobs_def = "knob WHITENREC_FIXTURE_N type=size\n";
-  inputs.readme = "docs for WHITENREC_FIXTURE_N\n";
+TEST(KnobsTest, TestsAreInsideRawGetenvScope) {
+  // Tests read knobs through the accessors too; only the knob module itself
+  // may call getenv.
   const SourceTree tree = TreeOf(
-      {{"tests/t.cc",
-        "int F() { return std::atoi(std::getenv(\"WHITENREC_FIXTURE_N\")); }\n"}});
-  EXPECT_TRUE(CheckKnobs(tree, inputs).empty());
+      {kAccessorUse,
+       {"tests/t.cc",
+        "int F() {\n"
+        "  return std::atoi(std::getenv(\"WHITENREC_FIXTURE_N\"));\n"
+        "}\n"}});
+  const std::vector<Finding> f = CheckKnobs(tree, SizeKnobInputs());
+  EXPECT_EQ(WithRule(f, "raw-getenv").size(), 1u);
+  EXPECT_EQ(WithRule(f, "raw-parse").size(), 1u);
+  for (const Finding& finding : f) EXPECT_EQ(finding.file, "tests/t.cc");
 }
 
 TEST(KnobsTest, AllowInKnobsDefSuppressesRegistryFinding) {
   TreeInputs inputs;
   inputs.knobs_def =
-      "# whitenrec-analyze: allow(dead-knob)\n"
-      "knob WHITENREC_FIXTURE_FUTURE type=size\n";
+      "// whitenrec-analyze: allow(dead-knob)\n"
+      "WR_KNOB(WHITENREC_FIXTURE_FUTURE, FixtureFuture, size, 0, kUnbounded, "
+      "\"\", \"a.cc\")\n";
   inputs.readme = "docs for WHITENREC_FIXTURE_FUTURE\n";
   const SourceTree tree = TreeOf({{"src/core/a.cc", "int x;\n"}});
   EXPECT_TRUE(CheckKnobs(tree, inputs).empty());
 }
 
-TEST(KnobsTest, AllowAtSiteSuppressesLaxParse) {
-  TreeInputs inputs;
-  inputs.knobs_def = "knob WHITENREC_FIXTURE_N type=size\n";
-  inputs.readme = "docs for WHITENREC_FIXTURE_N\n";
+TEST(KnobsTest, AllowAtSiteSuppressesRawGetenv) {
+  // A test helper that saves and restores an arbitrary variable is not a
+  // knob read; it carries the allow() hatch.
   const SourceTree tree = TreeOf(
-      {{"src/core/a.cc",
-        "int F() {\n"
-        "  // whitenrec-analyze: allow(lax-knob-parse)\n"
-        "  return std::atoi(std::getenv(\"WHITENREC_FIXTURE_N\"));\n"
+      {kAccessorUse,
+       {"tests/t.cc",
+        "std::string Saved(const char* name) {\n"
+        "  // whitenrec-analyze: allow(raw-getenv)\n"
+        "  const char* old = std::getenv(name);\n"
+        "  return old == nullptr ? \"\" : old;\n"
         "}\n"}});
-  EXPECT_TRUE(CheckKnobs(tree, inputs).empty());
+  EXPECT_TRUE(CheckKnobs(tree, SizeKnobInputs()).empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -576,7 +627,7 @@ AnalyzeResult SampleResult() {
   AnalyzeResult result;
   result.files_scanned = 7;
   result.findings.push_back(Finding{"src/core/a.cc", 12, "knobs",
-                                    "lax-knob-parse",
+                                    "raw-getenv",
                                     "message with \"quotes\" and\nnewline"});
   result.findings.push_back(
       Finding{"src/serve/b.cc", 3, "layering", "upward-include", "msg"});
@@ -643,7 +694,7 @@ TEST(ReportTest, RejectsMissingKeysAndGarbage) {
 
 TEST(AnalyzeTreeTest, AggregatesAndSortsAcrossPasses) {
   TreeInputs inputs;
-  inputs.knobs_def = "# empty registry\n";
+  inputs.knobs_def = "// empty registry\n";
   inputs.readme = "";
   const SourceTree tree = TreeOf({
       {"src/core/low.h", "#include \"serve/high.h\"\nint x;\n"},

@@ -66,6 +66,8 @@ bool BitwiseEqual(const Matrix& a, const Matrix& b) {
 class ScopedEnv {
  public:
   ScopedEnv(const char* name, const char* value) : name_(name) {
+    // Saves the caller's value; not a knob read.
+    // whitenrec-analyze: allow(raw-getenv)
     const char* old = std::getenv(name);
     had_old_ = old != nullptr;
     if (had_old_) old_ = old;

@@ -26,6 +26,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/knobs.h"
 #include "core/parallel.h"
 #include "data/batcher.h"
 #include "data/generator.h"
@@ -341,6 +342,36 @@ TEST(MicroBatching, EvictionIsCostNotCorrectness) {
     EXPECT_GT(tight_stats.evictions, 0u) << "cap=" << cap;
     EXPECT_GT(tight_stats.recomputes, roomy_stats.recomputes) << "cap=" << cap;
   }
+}
+
+TEST(MicroBatching, StatefulSessionCountStaysExactAcrossWindowShifts) {
+  // Regression: a max_len window shift cleared has_state without
+  // decrementing the stateful-session count, so the count drifted past
+  // max_cached_sessions and every batch evicted sessions it did not need to.
+  seqrec::SasRecModel* model = Fixture().model();
+  const std::size_t max_len = model->config().max_len;
+  const std::size_t num_items = Fixture().data.dataset.num_items;
+  constexpr std::uint64_t kSessions = 6;
+  ServeConfig roomy;
+  roomy.max_cached_sessions = kSessions + 2;
+  ServeConfig tight = roomy;
+  tight.max_cached_sessions = 1;
+  RecommendService service(model, roomy);
+  RecommendService reference(model, tight);
+  // Round-robin single-request batches, so a tight cap has sessions to
+  // evict; every session runs six windows past max_len.
+  for (std::uint64_t step = 0; step < 6 * max_len * kSessions; ++step) {
+    const std::vector<ServeRequest> batch = {
+        ServeRequest{step % kSessions, (step * 7) % num_items}};
+    // Cache capacity is cost, never correctness.
+    ASSERT_TRUE(SameResponses(service.HandleBatch(batch),
+                              reference.HandleBatch(batch)))
+        << "step " << step;
+    ASSERT_EQ(service.cached_sessions(), std::min(step + 1, kSessions))
+        << "step " << step;
+  }
+  EXPECT_EQ(service.stats().evictions, 0u);
+  EXPECT_GT(reference.stats().evictions, 0u);
 }
 
 TEST(MicroBatching, ExcludesSessionHistoryFromRecommendations) {
@@ -710,9 +741,7 @@ TEST(Harness, SchemaCheckerRejectsMalformedDocuments) {
 TEST(Soak, RandomizedTrafficWithIngestStaysWellFormed) {
   auto rec = FreshModel();
   seqrec::SasRecModel* model = rec->model();
-  const char* soak = std::getenv("WHITENREC_SERVE_SOAK");
-  const std::size_t multiplier =
-      soak != nullptr ? static_cast<std::size_t>(std::atoi(soak)) : 1;
+  const std::size_t multiplier = core::knobs::ServeSoak().value_or(1);
   ASSERT_GE(multiplier, 1u);
 
   TrafficConfig traffic;
@@ -879,6 +908,25 @@ TEST(DegradationLadder, HysteresisDegradesFastAndRecoversSlow) {
 
   ladder.Reset();
   EXPECT_EQ(ladder.rung(), 0u);
+}
+
+TEST(DegradationLadder, ParseLadderSpecAcceptsRungsAndRejectsMalformedOnes) {
+  const std::vector<LadderRung> rungs =
+      ParseLadderSpec("exact,ivf:8,ivf:2,popularity").ValueOrDie();
+  ASSERT_EQ(rungs.size(), 4u);
+  EXPECT_EQ(rungs[0].kind, RungKind::kExact);
+  EXPECT_EQ(rungs[0].cost_factor, 1.0);
+  EXPECT_EQ(rungs[1].kind, RungKind::kIvf);
+  EXPECT_EQ(rungs[1].nprobe, 8u);
+  EXPECT_EQ(rungs[2].nprobe, 2u);
+  EXPECT_LT(rungs[2].cost_factor, rungs[1].cost_factor);
+  EXPECT_EQ(rungs[3].kind, RungKind::kPopularity);
+  for (const char* bad :
+       {"", ",", "exact,", ",exact", "exact,,popularity", "Exact", "fast",
+        "ivf", "ivf:", "ivf:0", "ivf:x", "ivf:8x", "ivf:-1", "ivf:+8",
+        "ivf: 8", "ivf:99999999999999999999999", "exact ,popularity"}) {
+    EXPECT_FALSE(ParseLadderSpec(bad).ok()) << "spec \"" << bad << "\"";
+  }
 }
 
 TEST(DegradationLadder, TrajectoryIsPureFunctionOfDepthSequence) {

@@ -9,8 +9,8 @@
 
 // Cross-TU static analyzer for the whitenrec tree (DESIGN.md §11). Where
 // tools/lint checks one file at a time, the passes here need the whole tree
-// at once: the include graph, the set of every WHITENREC_* env read, the
-// registry that documents them. Three passes:
+// at once: the include graph, every getenv call and WHITENREC_* knob
+// reference, the registry that declares them. Three passes:
 //
 //   layering  the module DAG must respect the layer order
 //                 core < linalg < {nn, data, text} < whitening <
@@ -18,12 +18,14 @@
 //             (a file may include same-or-lower-rank modules only), and the
 //             file-level include graph must be acyclic.
 //               rules: upward-include, include-cycle
-//   knobs     every WHITENREC_* env knob read in src/ bench/ tests/ must be
-//             declared in tools/analyze/knobs.def, documented in README.md,
-//             actually read somewhere, and parsed strictly (a set-but-
-//             malformed value must abort loudly, never silently fall back).
-//               rules: unregistered-knob, dead-knob, undocumented-knob,
-//                      lax-knob-parse
+//   knobs     the environment is read, and numbers are parsed, only by
+//             src/core/knobs.cc, whose accessors are generated from the
+//             src/core/knobs.def rows and parse strictly; every WHITENREC_*
+//             name the tree or README.md uses must have a row, and every row
+//             must be documented in README.md and have its accessor
+//             referenced somewhere.
+//               rules: raw-getenv, raw-parse, unregistered-knob, dead-knob,
+//                      undocumented-knob, knob-registry-syntax
 //   hotalloc  no Matrix / std::vector construction inside ParallelFor /
 //             Stream(Quant)MatMulTransB* lambdas or RowBlockHook /
 //             ScoreRowsFn / ScorePanelFn bodies — per-iteration allocation in the hot
@@ -59,20 +61,22 @@ struct Finding {
 
 // Extra non-C++ inputs consumed by the knobs pass.
 struct TreeInputs {
-  std::string knobs_def;  // contents of tools/analyze/knobs.def
+  std::string knobs_def;  // contents of src/core/knobs.def
   std::string readme;     // contents of README.md
 };
 
-// One registry entry parsed from knobs.def; exposed for tests.
+// One registry row parsed from knobs.def; exposed for tests.
 struct KnobDecl {
   std::string name;      // WHITENREC_*
-  std::string type;      // size | u64 | double | enum | string | flag | cmake
+  std::string accessor;  // generated core::knobs accessor; "" for cmake
+  std::string type;      // size | u64 | double | enum | string | cmake
   std::string owner;     // declaring file, informational
   std::size_t line = 0;  // 1-based line in knobs.def
 };
 
-// Parses knobs.def. Malformed lines come back as findings against
-// `def_path` (rule "knob-registry-syntax") rather than being dropped.
+// Parses the knobs.def X-macro rows (WR_KNOB / WR_BUILD_OPTION; `//`
+// comments). Malformed rows come back as findings against `def_path` (rule
+// "knob-registry-syntax") rather than being dropped.
 std::vector<KnobDecl> ParseKnobsDef(const std::string& text,
                                     const std::string& def_path,
                                     std::vector<Finding>* findings);

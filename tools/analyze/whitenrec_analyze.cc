@@ -2,7 +2,7 @@
 // layering / knobs / hotalloc passes (see analyze.h), prints findings to
 // stderr, and writes the schema-validated ANALYZE.json artifact. Wired into
 // the build as `check-analyze` and into ctest as the tier-1 analyze.tree
-// test, so an upward include or an undocumented env knob fails CI the same
+// test, so an upward include or a raw getenv fails CI the same
 // way a broken unit test does.
 //
 // Usage: whitenrec_analyze --root <repo-root> [--out <path/ANALYZE.json>]
@@ -59,11 +59,10 @@ int main(int argc, char** argv) {
   }
   whitenrec::analyze::TreeInputs inputs;
   inputs.knobs_def =
-      ReadFileOrEmpty(fs::path(root) / "tools" / "analyze" / "knobs.def");
+      ReadFileOrEmpty(fs::path(root) / "src" / "core" / "knobs.def");
   inputs.readme = ReadFileOrEmpty(fs::path(root) / "README.md");
   if (inputs.knobs_def.empty()) {
-    std::fprintf(stderr,
-                 "whitenrec_analyze: missing tools/analyze/knobs.def\n");
+    std::fprintf(stderr, "whitenrec_analyze: missing src/core/knobs.def\n");
     return 2;
   }
 
