@@ -7,6 +7,8 @@
 // table, results are written to <out>/BENCH_kernels.json (GFLOP/s, thread
 // count and kernel variant per run) for machine consumption.
 
+#include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -22,6 +24,7 @@
 #include "linalg/gemm.h"
 #include "linalg/matrix.h"
 #include "linalg/rng.h"
+#include "linalg/scorer.h"
 #include "linalg/topk.h"
 #include "linalg/workspace.h"
 #include "seqrec/baselines.h"
@@ -133,6 +136,8 @@ void BM_ScoringVariant(benchmark::State& state) {
     std::vector<linalg::TopKSelector> selectors;
     selectors.reserve(rows);
     for (std::size_t r = 0; r < rows; ++r) selectors.emplace_back(k);
+    // The materialized arm excludes nothing either.
+    const std::vector<std::size_t> no_exclusions;
     for (auto _ : state) {
       for (std::size_t r = 0; r < rows; ++r) selectors[r].Reset();
       linalg::StreamMatMulTransB(
@@ -140,7 +145,7 @@ void BM_ScoringVariant(benchmark::State& state) {
           [&](std::size_t i0, std::size_t i1, std::size_t j0, std::size_t jn,
               const linalg::Matrix& panel) {
             for (std::size_t i = i0; i < i1; ++i) {
-              selectors[i].PushTile(panel.RowPtr(i), j0, jn);
+              selectors[i].PushTile(panel.RowPtr(i), j0, jn, no_exclusions);
             }
           });
       benchmark::DoNotOptimize(selectors.data());
@@ -158,6 +163,45 @@ BENCHMARK(BM_ScoringVariant)
     ->Args({static_cast<int>(linalg::ScoringMode::kFused), 4096})
     ->Args({static_cast<int>(linalg::ScoringMode::kMaterialized), 16384})
     ->Args({static_cast<int>(linalg::ScoringMode::kFused), 16384})
+    ->Unit(benchmark::kMillisecond);
+
+// The exact serving backend end to end: MakeExactScorer()->TopKBatch at
+// the serving shape (d = 32, top-10, 12 sorted exclusions per row) over a
+// rows x catalog sweep. One row is the light-load regime (batches of ~1),
+// where per-call work that does not scale with rows shows; 64 rows is the
+// capacity regime, where the top-K epilogue's per-score cost shows.
+// items/s counts multiply-adds, so GFLOP/s = 2 * items/s / 1e9.
+void BM_ExactScorerRows(benchmark::State& state) {
+  const std::size_t rows = static_cast<std::size_t>(state.range(0));
+  const std::size_t num_items = static_cast<std::size_t>(state.range(1));
+  const std::size_t d = 32;
+  const std::size_t k = 10;
+  const std::size_t excluded = 12;
+  linalg::Rng rng(9);
+  const linalg::Matrix users = rng.GaussianMatrix(rows, d, 1.0);
+  const linalg::Matrix items = rng.GaussianMatrix(num_items, d, 1.0);
+  std::vector<std::vector<std::size_t>> exclusions(rows);
+  for (std::vector<std::size_t>& excl : exclusions) {
+    for (std::size_t e = 0; e < excluded; ++e) {
+      excl.push_back(rng.UniformInt(num_items));
+    }
+    std::sort(excl.begin(), excl.end());
+  }
+  const std::unique_ptr<linalg::Scorer> scorer = linalg::MakeExactScorer();
+  scorer->Rebuild(items);
+  std::vector<linalg::TopKSelector> selectors;
+  selectors.reserve(rows);
+  for (std::size_t r = 0; r < rows; ++r) selectors.emplace_back(k);
+  for (auto _ : state) {
+    for (linalg::TopKSelector& sel : selectors) sel.Reset();
+    scorer->TopKBatch(users, exclusions, &selectors);
+    benchmark::DoNotOptimize(selectors.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(rows * num_items * d));
+}
+BENCHMARK(BM_ExactScorerRows)
+    ->ArgsProduct({{1, 8, 64}, {16384, 131072}})
     ->Unit(benchmark::kMillisecond);
 
 void BM_SymmetricEigen(benchmark::State& state) {

@@ -150,11 +150,22 @@ struct ForLaunch {
   }
 
   // Rethrows the lowest-indexed chunk failure so the surfaced error does not
-  // depend on scheduling.
+  // depend on scheduling. Every captured exception is released here, on the
+  // calling thread: a helper may still hold the launch after signalling
+  // done, and dropping the last reference to an exception there would free
+  // it concurrently with the caller's handler (the exception's reference
+  // count lives in the C++ runtime, where ThreadSanitizer cannot see the
+  // ordering and reports a race).
   void RethrowFirstError() {
-    for (std::exception_ptr& e : errors) {
-      if (e) std::rethrow_exception(e);
+    std::exception_ptr first;
+    for (const std::exception_ptr& e : errors) {
+      if (e) {
+        first = e;
+        break;
+      }
     }
+    errors.clear();
+    if (first) std::rethrow_exception(first);
   }
 };
 

@@ -10,7 +10,8 @@
 // The blocked kernels follow the classic packed-GEMM decomposition:
 //
 //   loop over k-panels of depth kKc (sequential, ascending):
-//     pack op(B)[k-panel, :] into kNr-wide column strips  (calling thread)
+//     pack op(B)[k-panel, :] into kNr-wide column strips  (calling thread;
+//       a PackedItemTable already holds them, packed once)
 //     ParallelFor over kMc-row blocks of C:
 //       pack op(A)[row block, k-panel] into kMr-tall row strips  (per worker)
 //       for each kNr column strip, for each kMr row strip:
@@ -271,20 +272,29 @@ void MicroKernelEdge(std::size_t kb, const double* WR_RESTRICT ap,
 // ---------------------------------------------------------------------------
 // Blocked driver: C += op(A) * op(B), C already shaped (m, n).
 //
-// `j_off` shifts the op(B) column window: C column j maps to op(B) column
-// j_off + j, letting the streaming layer compute a score panel without
-// slicing B. `hook`, when set, is the tile epilogue — fired per kMc row
-// block as soon as the block's final k-panel lands, i.e. while the block's C
-// rows are still cache-resident, from the worker that computed them.
+// `b_panel(k0, kb)` is the B-strip source. It is called once per k-panel on
+// the calling thread and returns that kb-deep panel of op(B) for C's n
+// columns as kNr-wide strips (strip js at offset js * kb * kNr, the last
+// strip zero-padded): PackBPerCall packs it into the workspace, PrePackedB
+// points into a PackedItemTable. Either way the row-block loop and the
+// micro-kernels below are the same, so the two sources are bitwise equal.
+// `hook`, when set, is the tile epilogue — fired per kMc row block as soon
+// as the block's final k-panel lands, i.e. while the block's C rows are
+// still cache-resident, from the worker that computed them.
 // ---------------------------------------------------------------------------
 
-void BlockedGemm(const Matrix& a, bool trans_a, const Matrix& b, bool trans_b,
-                 Matrix* c, std::size_t j_off = 0,
-                 const RowBlockHook* hook = nullptr) {
+template <typename BPanel>
+void BlockedGemm(const Matrix& a, bool trans_a, const BPanel& b_panel,
+                 Matrix* c, const RowBlockHook* hook = nullptr) {
   const std::size_t m = c->rows();
   const std::size_t n = c->cols();
   const std::size_t k_total = trans_a ? a.rows() : a.cols();
-  if (m == 0 || n == 0 || k_total == 0) return;
+  if (m == 0 || n == 0) return;
+  if (k_total == 0) {
+    // Empty sums: C is already final.
+    if (hook != nullptr) (*hook)(0, m);
+    return;
+  }
 
   const std::size_t nstrips = (n + kNr - 1) / kNr;
   const std::size_t nblocks = (m + kMc - 1) / kMc;
@@ -293,13 +303,8 @@ void BlockedGemm(const Matrix& a, bool trans_a, const Matrix& b, bool trans_b,
   for (std::size_t k0 = 0; k0 < k_total; k0 += kKc) {
     const std::size_t kb = std::min(kKc, k_total - k0);
     const bool last_panel = k0 + kb == k_total;
-    // B panel is packed once per k-panel on the calling thread and read by
-    // every worker. Hold only the raw pointer across the ParallelFor: the
-    // workspace may grow other slots, which can move the vector objects but
-    // never their heap storage.
-    double* bpack =
-        ThreadLocalWorkspace().Buf(kWsGemmPackB, nstrips * kNr * kb).data();
-    PackB(b, trans_b, j_off, n, k0, kb, bpack);
+    // Read by every worker; fetched once per k-panel on the calling thread.
+    const double* bpanel = b_panel(k0, kb);
 
     const std::size_t grain = core::GrainForWork(kMc * n * kb);
     core::ParallelFor(0, nblocks, grain, [&](std::size_t blk0,
@@ -316,7 +321,7 @@ void BlockedGemm(const Matrix& a, bool trans_a, const Matrix& b, bool trans_b,
         for (std::size_t js = 0; js < nstrips; ++js) {
           const std::size_t j0 = js * kNr;
           const std::size_t nr = std::min(kNr, n - j0);
-          const double* bstrip = bpack + js * kb * kNr;
+          const double* bstrip = bpanel + js * kb * kNr;
           for (std::size_t is = 0; is < mstrips; ++is) {
             const std::size_t ibase = i0 + is * kMr;
             const std::size_t mr = std::min(kMr, m - ibase);
@@ -335,6 +340,39 @@ void BlockedGemm(const Matrix& a, bool trans_a, const Matrix& b, bool trans_b,
   }
 }
 
+// B-strip source for a plain operand: packs each k-panel of op(B)'s column
+// window [j_off, j_off + n) into the calling thread's kWsGemmPackB buffer.
+// The returned raw pointer outlives the ParallelFor: the workspace may grow
+// other slots, which can move the vector objects but never their heap
+// storage.
+struct PackBPerCall {
+  const Matrix& b;
+  bool trans;
+  std::size_t j_off;
+  std::size_t n;
+
+  const double* operator()(std::size_t k0, std::size_t kb) const {
+    const std::size_t nstrips = (n + kNr - 1) / kNr;
+    double* bpack =
+        ThreadLocalWorkspace().Buf(kWsGemmPackB, nstrips * kNr * kb).data();
+    PackB(b, trans, j_off, n, k0, kb, bpack);
+    return bpack;
+  }
+};
+
+// B-strip source over a PackedItemTable: C column j is item j0 + j, with j0
+// on a strip boundary. Every earlier k-panel is kKc deep, so panel k0 starts
+// at strips * kNr * k0.
+struct PrePackedB {
+  const PackedItemTable& items;
+  std::size_t j0;
+
+  const double* operator()(std::size_t k0, std::size_t kb) const {
+    const std::size_t strips = (items.rows() + kNr - 1) / kNr;
+    return items.data() + strips * kNr * k0 + (j0 / kNr) * kb * kNr;
+  }
+};
+
 bool UseBlocked(std::size_t m, std::size_t n, std::size_t k) {
   return ActiveKind() == GemmKind::kBlocked && m * n * k >= kBlockedMinWork;
 }
@@ -348,7 +386,8 @@ void PanelTransB(const Matrix& a, const Matrix& b, std::size_t j0,
                  std::size_t jn, Matrix* c, const RowBlockHook* hook) {
   c->Resize(a.rows(), jn);
   if (UseBlocked(a.rows(), jn, a.cols())) {
-    BlockedGemm(a, /*trans_a=*/false, b, /*trans_b=*/true, c, j0, hook);
+    BlockedGemm(a, /*trans_a=*/false, PackBPerCall{b, /*trans=*/true, j0, jn},
+                c, hook);
   } else {
     NaiveMatMulTransB(a, b, c, j0, hook);
   }
@@ -406,7 +445,8 @@ void MatMulAcc(const Matrix& a, const Matrix& b, Matrix* c) {
   WR_CHECK_EQ(c->rows(), a.rows());
   WR_CHECK_EQ(c->cols(), b.cols());
   if (UseBlocked(c->rows(), c->cols(), a.cols())) {
-    BlockedGemm(a, /*trans_a=*/false, b, /*trans_b=*/false, c);
+    BlockedGemm(a, /*trans_a=*/false,
+                PackBPerCall{b, /*trans=*/false, 0, c->cols()}, c);
   } else {
     NaiveMatMul(a, b, c);
   }
@@ -418,7 +458,8 @@ void MatMulTransAAcc(const Matrix& a, const Matrix& b, Matrix* c) {
   WR_CHECK_EQ(c->rows(), a.cols());
   WR_CHECK_EQ(c->cols(), b.cols());
   if (UseBlocked(c->rows(), c->cols(), a.rows())) {
-    BlockedGemm(a, /*trans_a=*/true, b, /*trans_b=*/false, c);
+    BlockedGemm(a, /*trans_a=*/true,
+                PackBPerCall{b, /*trans=*/false, 0, c->cols()}, c);
   } else {
     NaiveMatMulTransA(a, b, c);
   }
@@ -430,7 +471,8 @@ void MatMulTransBAcc(const Matrix& a, const Matrix& b, Matrix* c) {
   WR_CHECK_EQ(c->rows(), a.rows());
   WR_CHECK_EQ(c->cols(), b.rows());
   if (UseBlocked(c->rows(), c->cols(), a.cols())) {
-    BlockedGemm(a, /*trans_a=*/false, b, /*trans_b=*/true, c);
+    BlockedGemm(a, /*trans_a=*/false,
+                PackBPerCall{b, /*trans=*/true, 0, c->cols()}, c);
   } else {
     NaiveMatMulTransB(a, b, c);
   }
@@ -518,6 +560,54 @@ void StreamMatMulTransBPanels(const Matrix& a, const Matrix& b,
     PanelTransB(a, b, j0, jn, &panel, /*hook=*/nullptr);
     fn(j0, jn, &panel);
   }
+}
+
+void PackedItemTable::Pack(const Matrix& items) {
+  rows_ = items.rows();
+  cols_ = items.cols();
+  const std::size_t strips = (rows_ + kNr - 1) / kNr;
+  // PackB writes every element, padding included, so a repack of the same
+  // shape reuses the buffer without clearing it first.
+  strips_.resize(strips * kNr * cols_);
+  for (std::size_t k0 = 0; k0 < cols_; k0 += kKc) {
+    const std::size_t kb = std::min(kKc, cols_ - k0);
+    PackB(items, /*trans=*/true, 0, rows_, k0, kb,
+          strips_.data() + strips * kNr * k0);
+  }
+}
+
+void PackedItemTable::Clear() {
+  rows_ = 0;
+  cols_ = 0;
+  std::vector<double>().swap(strips_);
+}
+
+void StreamPackedMatMulTransBTiles(const Matrix& a,
+                                   const PackedItemTable& items,
+                                   std::size_t tile, const ScoreRowsFn& fn) {
+  WR_CHECK_EQ(a.cols(), items.cols());
+  WR_CHECK_GT(tile, 0u);
+  WR_CHECK(fn != nullptr);
+  const std::size_t n = items.rows();
+  if (a.rows() == 0 || n == 0) return;
+  // Whole strips per tile: every tile but the last is a multiple of kNr
+  // wide, and the last ends at the table's own zero-padded strip. (Clamped
+  // to n first so rounding a huge knob value cannot wrap to zero.)
+  tile = (std::min(tile, n) + kNr - 1) / kNr * kNr;
+  Matrix& panel = ThreadLocalWorkspace().MatRef(kWsStreamPanel);
+  for (std::size_t j0 = 0; j0 < n; j0 += tile) {
+    const std::size_t jn = std::min(tile, n - j0);
+    const RowBlockHook hook = [&](std::size_t i0, std::size_t i1) {
+      fn(i0, i1, j0, jn, panel);
+    };
+    panel.Resize(a.rows(), jn);
+    BlockedGemm(a, /*trans_a=*/false, PrePackedB{items, j0}, &panel, &hook);
+  }
+}
+
+void StreamPackedMatMulTransB(const Matrix& a, const PackedItemTable& items,
+                              const ScoreRowsFn& fn) {
+  StreamPackedMatMulTransBTiles(a, items, ScoreTileCols(), fn);
 }
 
 double RowDotTransB(const Matrix& a, std::size_t i, const Matrix& b,

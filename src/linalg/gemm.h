@@ -88,6 +88,9 @@ const char* ScoringModeName(ScoringMode mode);
 
 // Item-tile width of the streaming layer. Initialized on first use from
 // WHITENREC_SCORE_TILE (positive integer; default 256); settable for tests.
+// The pre-packed stream (StreamPackedMatMulTransB) rounds it up to a
+// multiple of the kernel's 8-column strip so tiles start on strip
+// boundaries; scores never depend on tile width, so neither does any result.
 std::size_t ScoreTileCols();
 void SetScoreTileCols(std::size_t tile);
 
@@ -122,6 +125,40 @@ void StreamMatMulTransBTiles(const Matrix& a, const Matrix& b,
 // work (dlogits -> dH/dV GEMMs) is not row-independent.
 void StreamMatMulTransBPanels(const Matrix& a, const Matrix& b,
                               std::size_t tile, const ScorePanelFn& fn);
+
+// An item table packed once into the blocked kernel's B-strip layout, so
+// scoring streams read it directly instead of re-packing B on every call.
+// Layout: for each kKc-deep k-panel (ascending), for each 8-column strip of
+// items, kb x 8 values with element (k, j) = items(strip * 8 + j, k0 + k);
+// the last strip is zero-padded, so the kernels never branch on the column
+// edge. Memory is rows rounded up to 8, times cols, times 8 bytes: one more
+// copy of the table. Pack() copies values without arithmetic, so every
+// score streamed from it is bitwise the score streamed from the source.
+class PackedItemTable {
+ public:
+  void Pack(const Matrix& items);
+  void Clear();
+  std::size_t rows() const { return rows_; }
+  std::size_t cols() const { return cols_; }
+  std::size_t PackedBytes() const { return strips_.size() * sizeof(double); }
+  const double* data() const { return strips_.data(); }
+
+ private:
+  std::size_t rows_ = 0;
+  std::size_t cols_ = 0;
+  std::vector<double> strips_;
+};
+
+// Streams C = A * items^T from a pre-packed table: same panels, same row
+// blocks, same bitwise scores as StreamMatMulTransB over the source matrix,
+// minus the per-call B packing. Always runs the blocked kernel; tile width
+// is ScoreTileCols() rounded up to a multiple of 8.
+void StreamPackedMatMulTransB(const Matrix& a, const PackedItemTable& items,
+                              const ScoreRowsFn& fn);
+// Same with an explicit tile width (rounded up likewise; tests sweep it).
+void StreamPackedMatMulTransBTiles(const Matrix& a,
+                                   const PackedItemTable& items,
+                                   std::size_t tile, const ScoreRowsFn& fn);
 
 // Single element of A * B^T: a[i] . b[j], accumulated in the canonical
 // ascending-k order inside this translation unit (-ffp-contract=off), so the

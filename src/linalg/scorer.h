@@ -22,9 +22,12 @@ namespace linalg {
 //
 // Lifecycle: Rebuild(items) installs (and for indexed backends, indexes) the
 // table; TopKBatch scores against the installed table. `items` is borrowed —
-// it must outlive the scorer and stay unchanged until the next Rebuild (the
+// it must outlive the scorer and must not change between Rebuild and any
+// later TopKBatch: backends score copies taken at Rebuild (the exact
+// backend's strip-packed or quantized table, the IVF index), so an edit the
+// scorer was not told about is silently ignored, and a reshape aborts. The
 // serving core re-calls Rebuild on every ingest refit, mirroring the
-// whitening refit cadence).
+// whitening refit cadence.
 //
 // Determinism: TopKBatch fills selectors whose selected lists are a pure
 // function of (users, installed table, exclusions) — independent of thread
@@ -55,9 +58,11 @@ class Scorer {
   std::size_t num_items_ = 0;
 };
 
-// Exact fused scoring: the streamed GEMM + per-row bounded selector pass,
-// bitwise identical to materializing A * B^T and partial-sorting each row
-// under the strict score-desc/id-asc order.
+// Exact fused scoring: the streamed GEMM over a table packed at Rebuild +
+// the per-row gated selector pass, bitwise identical to materializing
+// A * B^T and partial-sorting each row under the strict score-desc/id-asc
+// order. Holds one packed copy of the table (rows * d * 8 bytes, rows
+// rounded up to 8) per live scorer.
 std::unique_ptr<Scorer> MakeExactScorer();
 
 }  // namespace linalg

@@ -15,6 +15,12 @@ inline bool HeapBelow(const ScoredItem& a, const ScoredItem& b) {
   return RanksBefore(b, a);
 }
 
+inline bool IsExcluded(std::span<const std::size_t> sorted_exclusions,
+                       std::size_t item) {
+  return std::binary_search(sorted_exclusions.begin(),
+                            sorted_exclusions.end(), item);
+}
+
 }  // namespace
 
 TopKSelector::TopKSelector(std::size_t k) : k_(k) {
@@ -44,6 +50,41 @@ void TopKSelector::SiftDown(std::size_t i) {
     if (!HeapBelow(heap_[worst], heap_[i])) break;
     std::swap(heap_[i], heap_[worst]);
     i = worst;
+  }
+}
+
+void TopKSelector::PushTile(const double* scores, std::size_t j0,
+                            std::size_t jn,
+                            std::span<const std::size_t> sorted_exclusions) {
+  std::size_t c = 0;
+  // Until the heap holds K candidates every non-excluded item is kept.
+  for (; c < jn && heap_.size() < k_; ++c) {
+    if (!IsExcluded(sorted_exclusions, j0 + c)) Push(j0 + c, scores[c]);
+  }
+  for (; c < jn; c += kGateChunk) {
+    const std::size_t cn = std::min(kGateChunk, jn - c);
+    if (cn == kGateChunk) {
+      // A candidate ranks before the root only if its score is >= the
+      // root's (equal scores fall to the id tie-break; NaN compares false
+      // both ways), so a chunk without one holds no winner. The count is a
+      // double so the compares and the sum share one vector type, and the
+      // loop stays rolled so the vectorizer sees it (fully unrolled it
+      // stays scalar); sums of 0/1 are exact in any order.
+      const double floor = heap_[0].score;
+      double hits = 0.0;
+#pragma GCC unroll 1
+      for (std::size_t l = 0; l < kGateChunk; ++l) {
+        hits += scores[c + l] >= floor ? 1.0 : 0.0;
+      }
+      if (hits == 0.0) continue;
+    }
+    for (std::size_t l = 0; l < cn; ++l) {
+      const std::size_t item = j0 + c + l;
+      if (RanksBefore(ScoredItem{scores[c + l], item}, heap_[0]) &&
+          !IsExcluded(sorted_exclusions, item)) {
+        Push(item, scores[c + l]);
+      }
+    }
   }
 }
 

@@ -1,8 +1,12 @@
 #ifndef WHITENREC_LINALG_TOPK_H_
 #define WHITENREC_LINALG_TOPK_H_
 
+#include <cmath>
 #include <cstddef>
+#include <span>
 #include <vector>
+
+#include "core/check.h"
 
 namespace whitenrec {
 namespace linalg {
@@ -27,8 +31,10 @@ inline bool RanksBefore(const ScoredItem& a, const ScoredItem& b) {
 // item order. Memory is O(K) regardless of catalog size, and because the
 // comparator is a strict total order (score, then item id), the selected
 // set — not just its scores — is independent of feed order. ±inf scores are
-// ordinary values under the total order; NaN is a caller bug (scores come
-// from GEMM panels that WR_CHECK_FINITE guards under debug checks).
+// ordinary values under the total order. NaN is a caller bug that nothing
+// upstream filters: under debug checks Push aborts on a NaN that would
+// enter a heap still filling up. Once the heap is full a NaN ranks before
+// nothing, so it is dropped like any loser, in every build.
 //
 // A selector is per-row state: not thread-safe, reusable via Reset().
 class TopKSelector {
@@ -44,6 +50,7 @@ class TopKSelector {
   // Considers one candidate.
   void Push(std::size_t item, double score) {
     if (heap_.size() < k_) {
+      WR_DCHECK_MSG(!std::isnan(score), "NaN score reached the top-K heap");
       heap_.push_back(ScoredItem{score, item});
       SiftUp(heap_.size() - 1);
     } else if (RanksBefore(ScoredItem{score, item}, heap_[0])) {
@@ -52,10 +59,16 @@ class TopKSelector {
     }
   }
 
-  // Considers a contiguous score tile: scores[c] belongs to item j0 + c.
-  void PushTile(const double* scores, std::size_t j0, std::size_t jn) {
-    for (std::size_t c = 0; c < jn; ++c) Push(j0 + c, scores[c]);
-  }
+  // Considers a contiguous score tile: scores[c] belongs to item j0 + c,
+  // skipping ids listed in `sorted_exclusions` (ascending; empty = none).
+  // Selects exactly what Push over the non-excluded items would, but once
+  // the heap is full it first tests each kGateChunk-score chunk against the
+  // root's score with a branch-free >= that vectorizes. A chunk with no
+  // score >= the root cannot contain a winner (the root only rises), so
+  // almost every chunk of a large catalog costs one vector compare; only
+  // survivors pay the exact RanksBefore test, then the exclusion lookup.
+  void PushTile(const double* scores, std::size_t j0, std::size_t jn,
+                std::span<const std::size_t> sorted_exclusions = {});
 
   // The selected items in ranking order (score desc, item id asc).
   std::vector<ScoredItem> SortedDescending() const;
@@ -65,6 +78,8 @@ class TopKSelector {
   // i.e. the one every new candidate must beat.
   void SiftUp(std::size_t i);
   void SiftDown(std::size_t i);
+
+  static constexpr std::size_t kGateChunk = 8;
 
   std::size_t k_;
   std::vector<ScoredItem> heap_;

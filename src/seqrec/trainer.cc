@@ -90,9 +90,12 @@ void RankBatchStreaming(
           const double ts = target_score[b];
           std::size_t count = higher[b];
           for (std::size_t c = 0; c < jn; ++c) {
+            // Score test first: most items do not outscore the target, and
+            // the exclusion cursor catches up lazily (ids still ascend).
+            if (!(prow[c] > ts)) continue;
             const std::size_t item = j0 + c;
-            if (excl.IsExcluded(b, item) || item == target) continue;
-            if (prow[c] > ts) ++count;
+            if (item == target || excl.IsExcluded(b, item)) continue;
+            ++count;
           }
           higher[b] = count;
         }

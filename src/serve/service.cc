@@ -88,6 +88,12 @@ void RecommendService::RebuildScorers() {
     std::unique_ptr<retrieval::Scorer> scorer;
     switch (rung.kind) {
       case RungKind::kExact:
+        // An exact primary is this very backend, already rebuilt above:
+        // borrow it (null slot) instead of packing a second table copy.
+        if (config_.scorer.kind == retrieval::ScorerKind::kExact) {
+          rung_scorers_.push_back(nullptr);
+          continue;
+        }
         scorer = linalg::MakeExactScorer();
         break;
       case RungKind::kIvf:
@@ -100,6 +106,14 @@ void RecommendService::RebuildScorers() {
     scorer->Rebuild(item_table_);
     rung_scorers_.push_back(std::move(scorer));
   }
+}
+
+const retrieval::Scorer* RecommendService::RungScorer(
+    std::size_t rung) const {
+  if (rung_scorers_.empty() || rung_scorers_[rung] == nullptr) {
+    return scorer_.get();
+  }
+  return rung_scorers_[rung].get();
 }
 
 bool RecommendService::AppendAndEncode(Session* session, std::size_t item,
@@ -367,12 +381,9 @@ void RecommendService::ServeQueued(
   requests.reserve(admitted.size());
   for (const AdmittedRequest& a : admitted) requests.push_back(a.request);
 
-  const retrieval::Scorer* scorer =
-      rung_scorers_.empty() ? scorer_.get() : rung_scorers_[rung].get();
+  const retrieval::Scorer* scorer = RungScorer(rung);
   const retrieval::Scorer* ref_scorer = nullptr;
-  if (reference != nullptr) {
-    ref_scorer = rung_scorers_.empty() ? scorer : rung_scorers_[0].get();
-  }
+  if (reference != nullptr) ref_scorer = RungScorer(0);
   std::vector<ServeResponse> responses(requests.size());
   HandleSlice(requests, 0, requests.size(), &responses, scorer, ref_scorer,
               reference);

@@ -292,6 +292,9 @@ class RecommendService {
   // Rebuilds the primary scorer and every ladder rung scorer over the
   // current item_table_ (construction, refit commit, and rollback).
   void RebuildScorers();
+  // The scorer answering at ladder rung `rung` (the primary when no ladder
+  // is configured or the rung borrows it).
+  const retrieval::Scorer* RungScorer(std::size_t rung) const;
 
   // Validates an ingest feature against dimension/finiteness/magnitude.
   Status ValidateIngestFeature(const std::vector<double>& raw_feature) const;
@@ -318,6 +321,8 @@ class RecommendService {
   // One k-means build shared by every IVF rung (retrieval::SharedIvfIndex);
   // null when no rung needs it.
   std::unique_ptr<retrieval::SharedIvfIndex> shared_ivf_;
+  // One per ladder rung; null where the rung borrows scorer_ (an exact rung
+  // over an exact primary), so the table is packed once, not twice.
   std::vector<std::unique_ptr<retrieval::Scorer>> rung_scorers_;
   std::vector<std::size_t> rung_served_;
 

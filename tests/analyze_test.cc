@@ -543,6 +543,24 @@ TEST(HotAllocTest, QuantStreamLambdaIsHot) {
   EXPECT_NE(f[0].message.find("StreamQuantMatMulTransB"), std::string::npos);
 }
 
+TEST(HotAllocTest, PackedStreamLambdaIsHot) {
+  // The exact scorer's pre-packed stream fires its ScoreRowsFn once per
+  // score tile, like the other streaming entry points.
+  const SourceTree tree = TreeOf(
+      {{"src/linalg/k.cc",
+        "void F(const PackedItemTable& p) {\n"
+        "  StreamPackedMatMulTransB(a, p, [&](std::size_t r0, std::size_t r1,\n"
+        "                                     std::size_t j0, std::size_t jn,\n"
+        "                                     const Matrix& panel) {\n"
+        "    std::vector<double> buf(jn, 0.0);\n"
+        "    (void)buf;\n"
+        "  });\n"
+        "}\n"}});
+  const std::vector<Finding> f = CheckHotAlloc(tree);
+  ASSERT_EQ(f.size(), 1u);
+  EXPECT_NE(f[0].message.find("StreamPackedMatMulTransB"), std::string::npos);
+}
+
 TEST(HotAllocTest, NestedTemplateVectorFires) {
   // std::vector<std::vector<int>> closes with a '>>' shift token; the angle
   // matcher must still find the declared identifier after it.

@@ -8,6 +8,7 @@
 // state between calls.
 
 #include <cstdlib>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -310,6 +311,57 @@ TEST(StreamingGemmTest, ReassembledPanelsMatchMatMulTransBBitwise) {
                 }
               });
           ExpectBitwiseEqual(ref, from_panels, "streamed panels");
+        }
+      }
+    }
+  }
+}
+
+// The pre-packed stream reads B strips straight out of a PackedItemTable
+// instead of packing per call. Reassembled, its panels must be the
+// materialized product bit for bit: any tile width (rounded up to whole
+// 8-column strips), a column count that leaves a zero-padded last strip,
+// one k-panel (d = 32) or two (d = 300 > kKc), 1 or 4 threads. The largest
+// tile must not wrap to zero when rounded up.
+TEST(StreamingGemmTest, PackedStreamMatchesMatMulTransBBitwise) {
+  const std::size_t n = 203;  // 25 full strips + a 3-column tail strip
+  const std::size_t tiles[] = {1, 7, 8, 256, 1000,
+                               std::numeric_limits<std::size_t>::max()};
+  for (const std::size_t d : {32u, 300u}) {
+    const Matrix b = Operand(n, d, 6);
+    PackedItemTable packed;
+    packed.Pack(b);
+    ASSERT_EQ(packed.rows(), n);
+    ASSERT_EQ(packed.cols(), d);
+    EXPECT_EQ(packed.PackedBytes(), 26u * 8u * d * sizeof(double));
+    for (const std::size_t m : {1u, 3u, 4u, 65u}) {
+      const Matrix a = Operand(m, d, 5);
+      Matrix ref;
+      MatMulTransBInto(a, b, &ref);
+      for (const std::size_t threads : {1u, 4u}) {
+        for (const std::size_t tile : tiles) {
+          ScopedThreads t(threads);
+          SCOPED_TRACE(::testing::Message()
+                       << "m=" << m << " d=" << d << " threads=" << threads
+                       << " tile=" << tile);
+          Matrix assembled(m, n);
+          std::vector<int> delivered(m * n, 0);
+          StreamPackedMatMulTransBTiles(
+              a, packed, tile,
+              [&](std::size_t i0, std::size_t i1, std::size_t j0,
+                  std::size_t jn, const Matrix& panel) {
+                EXPECT_EQ(j0 % 8, 0u);
+                for (std::size_t i = i0; i < i1; ++i) {
+                  for (std::size_t c = 0; c < jn; ++c) {
+                    assembled(i, j0 + c) = panel(i, c);
+                    ++delivered[i * n + j0 + c];
+                  }
+                }
+              });
+          ExpectBitwiseEqual(ref, assembled, "packed stream");
+          for (std::size_t i = 0; i < delivered.size(); ++i) {
+            ASSERT_EQ(delivered[i], 1) << "cell " << i;
+          }
         }
       }
     }

@@ -375,6 +375,148 @@ TEST(Scorer, ExactBackendMatchesBruteForce) {
   }
 }
 
+// Per-row top-K by brute force over `items` in the ambient item-table
+// representation (so check-compress can rerun this under int8).
+std::vector<std::vector<ScoredItem>> BruteForceTopK(
+    const Matrix& users, const Matrix& items,
+    const std::vector<std::vector<std::size_t>>& exclusions, std::size_t k) {
+  linalg::QuantizedItemTable quant_table;
+  if (linalg::CurrentItemQuantKind() != linalg::ItemQuantKind::kFp32) {
+    quant_table.Pack(items, linalg::CurrentItemQuantKind());
+  }
+  std::vector<std::vector<ScoredItem>> out;
+  for (std::size_t r = 0; r < users.rows(); ++r) {
+    linalg::TopKSelector brute(k);
+    for (std::size_t j = 0; j < items.rows(); ++j) {
+      const std::vector<std::size_t>& excl = exclusions[r];
+      if (std::binary_search(excl.begin(), excl.end(), j)) continue;
+      brute.Push(j, quant_table.empty()
+                        ? linalg::RowDotTransB(users, r, items, j)
+                        : quant_table.RowDot(users, r, j));
+    }
+    out.push_back(brute.SortedDescending());
+  }
+  return out;
+}
+
+std::vector<std::vector<ScoredItem>> ScorerTopK(
+    const Scorer& scorer, const Matrix& users,
+    const std::vector<std::vector<std::size_t>>& exclusions, std::size_t k) {
+  std::vector<linalg::TopKSelector> selectors;
+  for (std::size_t r = 0; r < users.rows(); ++r) selectors.emplace_back(k);
+  scorer.TopKBatch(users, exclusions, &selectors);
+  std::vector<std::vector<ScoredItem>> out;
+  for (const linalg::TopKSelector& sel : selectors) {
+    out.push_back(sel.SortedDescending());
+  }
+  return out;
+}
+
+void ExpectSameLists(const std::vector<std::vector<ScoredItem>>& got,
+                     const std::vector<std::vector<ScoredItem>>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t r = 0; r < got.size(); ++r) {
+    ASSERT_EQ(got[r].size(), want[r].size()) << "row " << r;
+    for (std::size_t i = 0; i < got[r].size(); ++i) {
+      EXPECT_EQ(got[r][i].item, want[r][i].item) << "row " << r;
+      EXPECT_EQ(std::memcmp(&got[r][i].score, &want[r][i].score,
+                            sizeof(double)),
+                0)
+          << "row " << r;
+    }
+  }
+}
+
+class ScopedGemmKind {
+ public:
+  explicit ScopedGemmKind(linalg::GemmKind kind)
+      : saved_(linalg::CurrentGemmKind()) {
+    linalg::SetGemmKind(kind);
+  }
+  ~ScopedGemmKind() { linalg::SetGemmKind(saved_); }
+
+ private:
+  linalg::GemmKind saved_;
+};
+
+// The exact scorer scores a copy taken at Rebuild. Rebuilding on a changed
+// table — new values in the same Matrix object, then a new shape — must
+// serve the new table's top-K, never the old copy's.
+TEST(Scorer, ExactRebuildOnChangedTableServesNewTopK) {
+  Matrix items = RandomPoints(300, 12, 71);
+  const Matrix users = RandomPoints(5, 12, 72);
+  std::vector<std::vector<std::size_t>> exclusions(users.rows());
+  exclusions[1] = {0, 3, 250};
+  std::unique_ptr<Scorer> scorer = linalg::MakeExactScorer();
+  scorer->Rebuild(items);
+  ExpectSameLists(ScorerTopK(*scorer, users, exclusions, 8),
+                  BruteForceTopK(users, items, exclusions, 8));
+
+  const std::vector<std::vector<ScoredItem>> old_lists =
+      BruteForceTopK(users, items, exclusions, 8);
+  items = RandomPoints(300, 12, 73);
+  scorer->Rebuild(items);
+  const std::vector<std::vector<ScoredItem>> new_lists =
+      BruteForceTopK(users, items, exclusions, 8);
+  // The new values must change the answer, or a stale copy would pass.
+  ASSERT_NE(old_lists[0][0].score, new_lists[0][0].score);
+  ExpectSameLists(ScorerTopK(*scorer, users, exclusions, 8), new_lists);
+
+  items = RandomPoints(509, 12, 74);
+  scorer->Rebuild(items);
+  EXPECT_EQ(scorer->num_items(), 509u);
+  ExpectSameLists(ScorerTopK(*scorer, users, exclusions, 8),
+                  BruteForceTopK(users, items, exclusions, 8));
+}
+
+TEST(Scorer, ExactTopKBatchRejectsTableReshapedSinceRebuild) {
+  Matrix items = RandomPoints(40, 6, 75);
+  const Matrix users = RandomPoints(2, 6, 76);
+  std::unique_ptr<Scorer> scorer = linalg::MakeExactScorer();
+  scorer->Rebuild(items);
+  items = RandomPoints(48, 6, 77);
+  EXPECT_DEATH(ScorerTopK(*scorer, users, {}, 3),
+               "changed shape since Scorer::Rebuild");
+}
+
+// The fp32 exact scorer streams a table packed at Rebuild; WHITENREC_GEMM=
+// naive streams the borrowed table through the unpacked reference kernel.
+// Both must select the same lists bit for bit, whichever kind was active at
+// Rebuild, at any thread count and tile width.
+TEST(Scorer, PackedExactMatchesNaiveExactBitwise) {
+  const Matrix items = RandomPoints(1237, 40, 81);
+  const Matrix users = RandomPoints(70, 40, 82);
+  std::vector<std::vector<std::size_t>> exclusions(users.rows());
+  for (std::size_t r = 0; r < users.rows(); ++r) {
+    for (std::size_t j = r; j < items.rows(); j += 97 + r) {
+      exclusions[r].push_back(j);
+    }
+  }
+  std::vector<std::vector<ScoredItem>> naive;
+  {
+    ScopedGemmKind kind(linalg::GemmKind::kNaive);
+    std::unique_ptr<Scorer> scorer = linalg::MakeExactScorer();
+    scorer->Rebuild(items);
+    naive = ScorerTopK(*scorer, users, exclusions, 10);
+  }
+  ExpectSameLists(naive, BruteForceTopK(users, items, exclusions, 10));
+  const std::size_t saved_threads = core::NumThreads();
+  const std::size_t saved_tile = linalg::ScoreTileCols();
+  for (const std::size_t threads : kThreadCounts) {
+    for (const std::size_t tile : {13u, 256u}) {
+      core::SetNumThreads(threads);
+      linalg::SetScoreTileCols(tile);
+      std::unique_ptr<Scorer> scorer = linalg::MakeExactScorer();
+      scorer->Rebuild(items);
+      ExpectSameLists(ScorerTopK(*scorer, users, exclusions, 10), naive);
+      ScopedGemmKind kind(linalg::GemmKind::kNaive);
+      ExpectSameLists(ScorerTopK(*scorer, users, exclusions, 10), naive);
+    }
+  }
+  core::SetNumThreads(saved_threads);
+  linalg::SetScoreTileCols(saved_tile);
+}
+
 // ---------------------------------------------------------------------------
 // Serving through the IVF scorer: reproducibility + ingest rebuilds.
 // ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@
 // the materialized reference at every thread count; and the nth_element
 // popularity head split must match a full-sort reference.
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <numeric>
 #include <vector>
@@ -177,6 +179,153 @@ TEST(TopKSelectorTest, ResetForgetsCandidates) {
   const auto got = sel.SortedDescending();
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0].item, 5u);
+}
+
+// ---------------------------------------------------------------------------
+// Gated PushTile with exclusions vs. per-item Push and SelectTopK
+// ---------------------------------------------------------------------------
+
+bool Excluded(const std::vector<std::size_t>& excl, std::size_t item) {
+  return std::binary_search(excl.begin(), excl.end(), item);
+}
+
+// Bit-level equality: a +0.0 / -0.0 swap must not pass as "equal scores".
+void ExpectSameBits(const std::vector<ScoredItem>& got,
+                    const std::vector<ScoredItem>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].item, want[i].item) << "position " << i;
+    EXPECT_EQ(std::memcmp(&got[i].score, &want[i].score, sizeof(double)), 0)
+        << "position " << i << ": " << got[i].score << " vs "
+        << want[i].score;
+  }
+}
+
+// Feeds `scores` minus the sorted `excl` ids through the gated PushTile at
+// several tile widths (multiples of the 8-score gate chunk and not) and
+// checks each selection against per-item Push and against SelectTopK over
+// the surviving scores.
+void CheckGatedTiles(const std::vector<double>& scores,
+                     const std::vector<std::size_t>& excl, std::size_t k) {
+  TopKSelector by_push(k);
+  std::vector<double> kept;
+  std::vector<std::size_t> kept_ids;
+  for (std::size_t i = 0; i < scores.size(); ++i) {
+    if (Excluded(excl, i)) continue;
+    by_push.Push(i, scores[i]);
+    kept.push_back(scores[i]);
+    kept_ids.push_back(i);
+  }
+  const std::vector<ScoredItem> want = by_push.SortedDescending();
+  // kept_ids ascend, so SelectTopK's index tie-break is the id tie-break.
+  std::vector<ScoredItem> by_sort = SelectTopK(kept.data(), kept.size(), k);
+  for (ScoredItem& s : by_sort) s.item = kept_ids[s.item];
+  ExpectSameBits(by_sort, want);
+
+  TopKSelector sel(k);
+  for (const std::size_t tile : {1u, 5u, 8u, 9u, 16u, 61u, 256u, 4096u}) {
+    SCOPED_TRACE(::testing::Message() << "k=" << k << " tile=" << tile
+                                      << " excluded=" << excl.size());
+    sel.Reset();
+    for (std::size_t j0 = 0; j0 < scores.size(); j0 += tile) {
+      const std::size_t jn = std::min<std::size_t>(tile, scores.size() - j0);
+      sel.PushTile(scores.data() + j0, j0, jn, excl);
+    }
+    ExpectSameBits(sel.SortedDescending(), want);
+    // Tiles in descending order: a later tie with a smaller id now beats
+    // the root, so the gate must let equal scores through.
+    sel.Reset();
+    const std::size_t tiles = (scores.size() + tile - 1) / tile;
+    for (std::size_t t = tiles; t-- > 0;) {
+      const std::size_t j0 = t * tile;
+      const std::size_t jn = std::min<std::size_t>(tile, scores.size() - j0);
+      sel.PushTile(scores.data() + j0, j0, jn, excl);
+    }
+    ExpectSameBits(sel.SortedDescending(), want);
+  }
+}
+
+// Sorted ids drawn with probability `rate` (duplicates impossible).
+std::vector<std::size_t> RandomExclusions(std::size_t n, double rate,
+                                          Rng* rng) {
+  std::vector<std::size_t> excl;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (rng->Uniform() < rate) excl.push_back(i);
+  }
+  return excl;
+}
+
+TEST(GatedPushTileTest, MatchesPushAndSelectTopKOnRandomScores) {
+  Rng rng(41);
+  for (const std::size_t n : {1u, 7u, 8u, 97u, 500u, 2053u}) {
+    const Matrix s = rng.GaussianMatrix(1, n, 1.0);
+    const std::vector<double> scores(s.data(), s.data() + n);
+    for (const double rate : {0.0, 0.05, 0.5}) {
+      const std::vector<std::size_t> excl = RandomExclusions(n, rate, &rng);
+      for (const std::size_t k : {1u, 2u, 10u, 20u, 499u, 500u, 3000u}) {
+        CheckGatedTiles(scores, excl, k);
+      }
+    }
+  }
+}
+
+TEST(GatedPushTileTest, HeavyTiesResolveByItemIdUnderExclusions) {
+  // Three distinct values: the gate's >= lets whole tied chunks through,
+  // and only the id tie-break may decide among them.
+  Rng rng(42);
+  const std::size_t n = 1001;
+  const Matrix g = rng.GaussianMatrix(1, n, 1.0);
+  std::vector<double> scores(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    scores[i] = std::floor(g.data()[i] * 1.5);
+  }
+  for (const double rate : {0.0, 0.1, 0.7}) {
+    const std::vector<std::size_t> excl = RandomExclusions(n, rate, &rng);
+    for (const std::size_t k : {1u, 7u, 50u, 300u, 1001u}) {
+      CheckGatedTiles(scores, excl, k);
+    }
+  }
+  const std::vector<double> flat(203, -1.25);
+  CheckGatedTiles(flat, {0, 1, 2, 9, 100}, 10);
+}
+
+TEST(GatedPushTileTest, InfinitiesAndSignedZeros) {
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> scores;
+  // Cycle a pattern of length 7 over 75 scores so the specials land at
+  // every offset of the 8-score chunk and in the partial tail.
+  const double pattern[] = {0.0, -0.0, inf, -inf, 1.0, -0.0, -1.0};
+  for (std::size_t i = 0; i < 75; ++i) scores.push_back(pattern[i % 7]);
+  for (const std::size_t k : {1u, 3u, 11u, 22u, 40u, 75u, 100u}) {
+    CheckGatedTiles(scores, {}, k);
+    CheckGatedTiles(scores, {2, 9, 16, 30, 74}, k);
+  }
+  // A root of -inf admits every finite score; a root of +inf only +inf.
+  const std::vector<double> low(40, -inf);
+  CheckGatedTiles(low, {3}, 5);
+  std::vector<double> mixed(40, 1.0);
+  mixed[0] = inf;
+  mixed[33] = inf;
+  CheckGatedTiles(mixed, {}, 2);
+  CheckGatedTiles(mixed, {0}, 1);
+}
+
+TEST(GatedPushTileTest, KAtLeastCatalogAndAllExcludedRows) {
+  const std::vector<double> scores = {3.0, 1.0, 2.0, 5.0, 4.0,
+                                      0.5, 9.0, 8.0, 7.0, 6.0, 2.5};
+  for (const std::size_t k : {11u, 12u, 64u}) {
+    CheckGatedTiles(scores, {}, k);
+    CheckGatedTiles(scores, {1, 6, 10}, k);
+  }
+  std::vector<std::size_t> all(scores.size());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  TopKSelector sel(4);
+  sel.PushTile(scores.data(), 0, 8, all);
+  sel.PushTile(scores.data() + 8, 8, 3, all);
+  EXPECT_EQ(sel.size(), 0u);
+  CheckGatedTiles(scores, all, 4);
+  // Exclusions outside the tile never match.
+  CheckGatedTiles(scores, {100, 200}, 4);
 }
 
 // ---------------------------------------------------------------------------
