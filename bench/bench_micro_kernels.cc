@@ -1,13 +1,14 @@
 // Micro-benchmarks (google-benchmark) for the computational kernels behind
 // the paper's complexity analysis (Sec. IV-E): dense matmul (naive vs the
 // blocked kernels of linalg/gemm.cc), symmetric eigendecomposition,
-// whitening fits of each kind, group whitening, flow whitening, and one
-// SASRec training step. These quantify the claim that the whitening
+// whitening fits of each kind, group whitening, flow whitening, one
+// SASRec training step, and one online item ingest. These quantify the claim that the whitening
 // transforms are cheap, precomputable preprocessing. Besides the console
 // table, results are written to <out>/BENCH_kernels.json (GFLOP/s, thread
 // count and kernel variant per run) for machine consumption.
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -28,6 +29,7 @@
 #include "linalg/topk.h"
 #include "linalg/workspace.h"
 #include "seqrec/baselines.h"
+#include "serve/service.h"
 
 namespace whitenrec {
 namespace {
@@ -203,6 +205,57 @@ void BM_ExactScorerRows(benchmark::State& state) {
 BENCHMARK(BM_ExactScorerRows)
     ->ArgsProduct({{1, 8, 64}, {16384, 131072}})
     ->Unit(benchmark::kMillisecond);
+
+// One accepted RecommendService::IngestItem (no refit) over a catalog of
+// N raw d_t = 64 rows: the in-place append plus the O(d_t^2) Welford fold,
+// so the time is flat in N. The raw catalog's geometric reallocation
+// (O(d_t) per row amortized) is paid before the loop: a refused refit's
+// rollback truncates in place and keeps the grown capacity. Every 4096
+// ingests an untimed refused RefitNow() drops the pending rows again, so
+// memory stays bounded however many iterations run.
+void BM_IngestItem(benchmark::State& state) {
+  const std::size_t num_items = static_cast<std::size_t>(state.range(0));
+  data::ItemFeatureConfig features;
+  features.num_items = num_items;
+  features.embed_dim = 64;
+  data::Dataset dataset;
+  dataset.num_items = num_items;
+  dataset.text_embeddings = data::GenerateItemFeatures(features);
+  seqrec::SasRecConfig mc;
+  mc.hidden_dim = 32;
+  mc.max_len = 12;
+  auto rec = seqrec::MakeWhitenRec(dataset, mc, WhitenRecConfig());
+  serve::ServeConfig config;
+  config.refit_every = std::numeric_limits<std::size_t>::max();
+  config.refit_eigen_floor = std::numeric_limits<double>::max();
+  serve::RecommendService service(rec->model(), config);
+  WR_CHECK(service
+               .EnableIngest(dataset.text_embeddings, WhiteningKind::kZca,
+                             1e-5)
+               .ok());
+  const std::vector<double> row = dataset.text_embeddings.Row(0);
+  auto drain = [&service] { WR_CHECK(!service.RefitNow().ok()); };
+  constexpr std::size_t kDrainEvery = 4096;
+  WR_CHECK(service.IngestItem(row).ok());
+  drain();
+  std::size_t pending = 0;
+  for (auto _ : state) {
+    if (pending == kDrainEvery) {
+      state.PauseTiming();
+      drain();
+      pending = 0;
+      state.ResumeTiming();
+    }
+    benchmark::DoNotOptimize(service.IngestItem(row));
+    ++pending;
+  }
+  WR_CHECK_EQ(service.num_items(), num_items);  // nothing was committed
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_IngestItem)
+    ->Arg(16384)
+    ->Arg(131072)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_SymmetricEigen(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));

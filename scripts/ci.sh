@@ -10,8 +10,10 @@
 #   6. check-faults — crash-safety suite under a WHITENREC_FAULT_RATE sweep
 #   7. check-asan   — GEMM, linalg, top-K + retrieval suites under ASan/UBSan
 #   8. check-tsan   — parallel + determinism suites under ThreadSanitizer
-#   9. check-serve  — serving suite, randomized-traffic soak under TSan,
-#      and a schema-checked out/BENCH_serving.json from bench_serving
+#   9. check-serve  — serving suite; the randomized-traffic soak,
+#      micro-batching and ingest suites under TSan (refit guard and fit run
+#      side by side); and a schema-checked out/BENCH_serving.json from
+#      bench_serving
 #  10. check-ann    — retrieval suite (deterministic k-means + IVF), the same
 #      suite under TSan, and a schema-checked out/BENCH_ann.json from a
 #      small-catalog bench_ann run

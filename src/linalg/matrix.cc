@@ -21,6 +21,18 @@ Matrix Matrix::FromRows(const std::vector<std::vector<double>>& rows) {
 
 void Matrix::Fill(double v) { std::fill(data_.begin(), data_.end(), v); }
 
+void Matrix::AppendRow(const double* row, std::size_t n) {
+  WR_CHECK_EQ(n, cols_);
+  data_.insert(data_.end(), row, row + n);
+  ++rows_;
+}
+
+void Matrix::TruncateRows(std::size_t rows) {
+  WR_CHECK_LE(rows, rows_);
+  data_.resize(rows * cols_);  // shrinking resize keeps the capacity
+  rows_ = rows;
+}
+
 std::vector<double> Matrix::Row(std::size_t r) const {
   WR_CHECK_LT(r, rows_);
   return std::vector<double>(RowPtr(r), RowPtr(r) + cols_);

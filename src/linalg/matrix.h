@@ -83,6 +83,15 @@ class Matrix {
     data_.assign(rows * cols, 0.0);
   }
 
+  // Appends one row of n == cols() values, amortized O(cols): the backing
+  // vector grows geometrically, so earlier rows are never copied per append
+  // (only on the occasional reallocation). `row` must not point into this
+  // matrix.
+  void AppendRow(const double* row, std::size_t n);
+  // Drops every row at index >= rows, keeping the heap capacity, so a
+  // following AppendRow reuses it. rows must not exceed rows().
+  void TruncateRows(std::size_t rows);
+
   // Returns the r-th row as a vector copy.
   std::vector<double> Row(std::size_t r) const;
   // Returns the c-th column as a vector copy.

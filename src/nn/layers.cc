@@ -83,12 +83,17 @@ void Linear::CollectParameters(std::vector<Parameter*>* out) {
   out->push_back(&bias_);
 }
 
+void ReluInPlace(Matrix* m) {
+  double* v = m->data();
+  for (std::size_t i = 0; i < m->size(); ++i) {
+    if (v[i] < 0.0) v[i] = 0.0;
+  }
+}
+
 Matrix ReLU::Forward(const Matrix& x) {
   cached_input_ = x;
   Matrix y = x;
-  for (std::size_t i = 0; i < y.size(); ++i) {
-    if (y.data()[i] < 0.0) y.data()[i] = 0.0;
-  }
+  ReluInPlace(&y);
   return y;
 }
 

@@ -76,6 +76,11 @@ class Linear : public Layer {
   linalg::Matrix cached_input_;
 };
 
+// The ReLU clamp, in place: v < 0 becomes +0; -0.0 and NaN pass through
+// unchanged (no FP arithmetic beyond the compare). ReLU::Forward and every
+// eval-only forward share it, so train and eval activations agree bitwise.
+void ReluInPlace(linalg::Matrix* m);
+
 // Elementwise ReLU.
 class ReLU : public Layer {
  public:

@@ -21,10 +21,7 @@ Matrix FeedForward::Backward(const Matrix& dy) {
 void FeedForward::ForwardEvalInto(const Matrix& x, Matrix* y) const {
   Matrix hidden;
   fc1_.ForwardEvalInto(x, &hidden);
-  // ReLU clamp, elementwise (no FP arithmetic beyond the compare).
-  for (std::size_t i = 0; i < hidden.size(); ++i) {
-    if (hidden.data()[i] < 0.0) hidden.data()[i] = 0.0;
-  }
+  ReluInPlace(&hidden);
   fc2_.ForwardEvalInto(hidden, y);
 }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <optional>
 #include <string>
 #include <utility>
@@ -471,13 +470,7 @@ Status RecommendService::RollbackPending(Status cause) {
   for (std::size_t r = last_good_raw_rows_; r < rows; ++r) {
     Quarantine(raw_features_.Row(r), "dropped by refit rollback");
   }
-  if (rows != last_good_raw_rows_) {
-    Matrix trimmed(last_good_raw_rows_, raw_features_.cols());
-    for (std::size_t r = 0; r < last_good_raw_rows_; ++r) {
-      trimmed.SetRow(r, raw_features_.Row(r));
-    }
-    raw_features_ = std::move(trimmed);
-  }
+  raw_features_.TruncateRows(last_good_raw_rows_);  // keeps the capacity
   whiten_acc_ = last_good_acc_;
   pending_ingests_ = 0;
   return cause;
@@ -495,21 +488,12 @@ Status RecommendService::IngestItem(const std::vector<double>& raw_feature) {
     Quarantine(raw_feature, valid.message());
     return valid;
   }
-  // Append the row to the raw catalog and fold it into the streaming
-  // whitening statistics (exact Welford update, no rescan).
-  Matrix grown(raw_features_.rows() + 1, raw_features_.cols());
-  for (std::size_t r = 0; r < raw_features_.rows(); ++r) {
-    grown.SetRow(r, raw_features_.Row(r));
-  }
-  double* last = grown.RowPtr(raw_features_.rows());
-  for (std::size_t c = 0; c < raw_feature.size(); ++c) {
-    last[c] = raw_feature[c];
-  }
-  Matrix row(1, raw_feature.size());
-  std::memcpy(row.RowPtr(0), raw_feature.data(),
-              raw_feature.size() * sizeof(double));
-  whiten_acc_.Add(row);
-  raw_features_ = std::move(grown);
+  // Append the row to the raw catalog in place (amortized O(d)) and fold it
+  // into the streaming whitening statistics (exact Welford update, no
+  // rescan).
+  raw_features_.AppendRow(raw_feature.data(), raw_feature.size());
+  whiten_acc_.Add(raw_features_.RowSlice(raw_features_.rows() - 1,
+                                         raw_features_.rows()));
   ++pending_ingests_;
   ++stats_.ingested;
   if (pending_ingests_ >= config_.refit_every) return Refit();
@@ -528,18 +512,40 @@ Status RecommendService::Refit() {
   auto* encoder = dynamic_cast<TextFeatureEncoder*>(model_->encoder());
   WR_CHECK(encoder != nullptr);  // EnableIngest verified this
 
+  // The guard's eigensolve of Σ and the fit's eigensolve of Σ + εI only read
+  // the accumulator, so they run as the two chunks of one ParallelFor (inline
+  // at one thread). Each is the same pure function of the accumulator it
+  // would be alone, and the verdicts are checked below in the serial order:
+  // guard first, then fit.
+  const bool guarded =
+      config_.refit_max_condition > 0.0 || config_.refit_eigen_floor > 0.0;
+  std::optional<Result<eval::CovarianceConditioning>> guard;
+  std::optional<Result<FittedWhitening>> fitted;
+  core::ParallelFor(0, 2, 1, [&](std::size_t i0, std::size_t i1) {
+    for (std::size_t i = i0; i < i1; ++i) {
+      if (i == 1) {
+        fitted.emplace(whiten_acc_.Fit(whiten_options_));
+      } else if (guarded) {
+        Result<Matrix> cov = whiten_acc_.CovarianceMatrix();
+        if (cov.ok()) {
+          guard.emplace(eval::AnalyzeCovarianceConditioning(cov.value()));
+        } else {
+          guard.emplace(cov.status());
+        }
+      }
+    }
+  });
+
   // Refit guard: a poisoned batch that slipped past the per-row bounds still
   // shows up as a sick covariance (blown condition number or collapsed
   // spectrum). Refuse the refit and roll the pending rows back rather than
   // bake a near-singular transform into the serving path.
-  if (config_.refit_max_condition > 0.0 || config_.refit_eigen_floor > 0.0) {
-    Result<Matrix> cov = whiten_acc_.CovarianceMatrix();
-    if (!cov.ok()) {
+  if (guarded) {
+    if (!guard->ok()) {
       ++stats_.refit_failures;
-      return RollbackPending(cov.status());
+      return RollbackPending(guard->status());
     }
-    const eval::CovarianceConditioning cond =
-        eval::AnalyzeCovarianceConditioning(cov.value());
+    const eval::CovarianceConditioning& cond = guard->value();
     if (config_.refit_max_condition > 0.0 &&
         cond.condition_number > config_.refit_max_condition) {
       ++stats_.refit_failures;
@@ -554,17 +560,18 @@ Status RecommendService::Refit() {
     }
   }
 
-  Result<FittedWhitening> fitted = whiten_acc_.Fit(whiten_options_);
-  if (!fitted.ok()) {
+  if (!fitted->ok()) {
     ++stats_.refit_failures;
-    return RollbackPending(fitted.status());
+    return RollbackPending(fitted->status());
   }
-  Matrix whitened = ApplyWhitening(fitted.value(), raw_features_);
+  Matrix whitened = ApplyWhitening(fitted->value(), raw_features_);
 
-  // Versioned swap: snapshot the encoder's current (last good) feature table
-  // before replacing it, so an interrupted swap can restore it bitwise.
-  Matrix old_features = encoder->features();
-  Status replaced = encoder->ReplaceFeatures(std::move(whitened));
+  // Versioned swap: the encoder hands its current (last good) feature table
+  // back by move as the snapshot, so an interrupted swap can restore it
+  // bitwise without a copy.
+  Matrix old_features;
+  Status replaced =
+      encoder->ReplaceFeatures(std::move(whitened), &old_features);
   if (!replaced.ok()) {
     ++stats_.refit_failures;
     return RollbackPending(replaced);
@@ -573,8 +580,8 @@ Status RecommendService::Refit() {
   // Injected failure window (ChaosKind::kRefitFailure): the crash lands at
   // the worst moment — features swapped, table and index not yet rebuilt.
   // Rollback restores the old features and re-derives table + index from
-  // them; EncodeItems and the index build are deterministic pure functions
-  // of the feature table, so the restored state is bitwise the pre-refit
+  // them; Encode and the index build are deterministic pure functions of
+  // the feature table, so the restored state is bitwise the pre-refit
   // state and cached sessions stay valid.
   if (ChaosInjector::Global().Next({ChaosKind::kRefitFailure}) ==
       ChaosKind::kRefitFailure) {
@@ -583,7 +590,7 @@ Status RecommendService::Refit() {
     // swap never became visible to a request.
     Status restored = encoder->RestoreFeatures(std::move(old_features));
     WR_CHECK(restored.ok());
-    item_table_ = model_->EncodeItems(/*train=*/false);
+    item_table_ = encoder->Encode();
     RebuildScorers();
     ++stats_.rollbacks;
     ++stats_.refit_failures;
@@ -597,8 +604,9 @@ Status RecommendService::Refit() {
   // request per session replays them against the new table (counted as a
   // recompute, not an error). The scorer rebuild runs on every refit, so the
   // index cadence mirrors the whitening refit cadence and responses stay a
-  // pure function of the ingest history.
-  item_table_ = model_->EncodeItems(/*train=*/false);
+  // pure function of the ingest history. Encode is the inference forward:
+  // bitwise EncodeItems(false) without filling the training caches.
+  item_table_ = encoder->Encode();
   RebuildScorers();
   for (auto& entry : sessions_) {
     if (entry.second.has_state) {

@@ -231,6 +231,11 @@ class RecommendService {
   // |value| > config.ingest_max_abs are rejected with kInvalidArgument and
   // the offending row goes to quarantine(); the accumulator, catalog, and
   // scorer are bitwise unaffected by a rejected ingest.
+  //
+  // Cost of an accepted ingest that does not hit the refit boundary: one
+  // in-place row append to the raw catalog (amortized O(d); the catalog is
+  // never copied) plus the O(d^2) Welford fold, independent of the catalog
+  // size. The refit boundary adds one Refit (see RefitNow).
   Status IngestItem(const std::vector<double>& raw_feature);
 
   // Forces the pending ingests to be folded in immediately.
@@ -306,7 +311,9 @@ class RecommendService {
 
   seqrec::SasRecModel* model_;  // borrowed
   ServeConfig config_;
-  linalg::Matrix item_table_;  // (num_items, d) from EncodeItems(false)
+  // (num_items, d): EncodeItems(false) at construction, then the encoder's
+  // bitwise-equal inference forward (TextFeatureEncoder::Encode) on refits.
+  linalg::Matrix item_table_;
   // Top-K backend over item_table_ (borrowed by the scorer; Refit() rebuilds
   // the table and immediately re-calls scorer_->Rebuild on it).
   std::unique_ptr<retrieval::Scorer> scorer_;
@@ -329,7 +336,9 @@ class RecommendService {
   // Ingest state (EnableIngest).
   bool ingest_enabled_ = false;
   WhiteningOptions whiten_options_;
-  linalg::Matrix raw_features_;  // grows with the catalog
+  // Grows in place with the catalog (AppendRow); rollbacks truncate it
+  // in place, keeping the capacity.
+  linalg::Matrix raw_features_;
   IncrementalWhitening whiten_acc_{1};
   std::size_t pending_ingests_ = 0;
   // Last good snapshot for refit rollback: the accumulator and catalog row

@@ -1,6 +1,7 @@
 #include "whitening/whiten_encoder.h"
 
 #include <cmath>
+#include <utility>
 
 #include "nn/tensor.h"
 
@@ -99,6 +100,36 @@ Matrix ProjectionHead::Forward(const Matrix& x) {
   return out;
 }
 
+Matrix ProjectionHead::ForwardEval(const Matrix& x) const {
+  WR_CHECK_EQ(x.cols(), in_dim_);
+  if (kind_ != HeadKind::kMoe) {
+    // Same layer sequence as Forward; the first layer reads x directly.
+    Matrix h;
+    Matrix next;
+    for (std::size_t i = 0; i < linears_.size(); ++i) {
+      linears_[i]->ForwardEvalInto(i == 0 ? x : h, &next);
+      if (i < relus_.size()) nn::ReluInPlace(&next);
+      std::swap(h, next);
+    }
+    return h;
+  }
+  Matrix gate_probs;
+  gate_->ForwardEvalInto(x, &gate_probs);
+  nn::RowSoftmaxInPlace(&gate_probs);
+  Matrix out(x.rows(), out_dim_);
+  Matrix eo;
+  for (std::size_t e = 0; e < experts_.size(); ++e) {
+    experts_[e]->ForwardEvalInto(x, &eo);
+    for (std::size_t r = 0; r < out.rows(); ++r) {
+      const double g = gate_probs(r, e);
+      double* orow = out.RowPtr(r);
+      const double* erow = eo.RowPtr(r);
+      for (std::size_t c = 0; c < out_dim_; ++c) orow[c] += g * erow[c];
+    }
+  }
+  return out;
+}
+
 Matrix ProjectionHead::Backward(const Matrix& dy) {
   if (kind_ != HeadKind::kMoe) {
     Matrix d = dy;
@@ -160,6 +191,10 @@ Matrix TextFeatureEncoder::Forward(bool /*train*/) {
   return head_.Forward(features_);
 }
 
+Matrix TextFeatureEncoder::Encode() const {
+  return head_.ForwardEval(features_);
+}
+
 void TextFeatureEncoder::Backward(const Matrix& dv) {
   head_.Backward(dv);  // gradient w.r.t. frozen features is discarded
 }
@@ -168,7 +203,8 @@ void TextFeatureEncoder::CollectParameters(std::vector<nn::Parameter*>* out) {
   head_.CollectParameters(out);
 }
 
-Status TextFeatureEncoder::ReplaceFeatures(Matrix features) {
+Status TextFeatureEncoder::ReplaceFeatures(Matrix features,
+                                           Matrix* previous) {
   if (features.cols() != head_.in_dim()) {
     return Status::InvalidArgument(
         "ReplaceFeatures: feature dim " + std::to_string(features.cols()) +
@@ -180,6 +216,7 @@ Status TextFeatureEncoder::ReplaceFeatures(Matrix features) {
         std::to_string(features_.rows()) + " to " +
         std::to_string(features.rows()) + " rows");
   }
+  if (previous != nullptr) *previous = std::move(features_);
   features_ = std::move(features);
   return Status::OK();
 }

@@ -34,6 +34,11 @@ class ProjectionHead {
   linalg::Matrix Backward(const linalg::Matrix& dy);
   void CollectParameters(std::vector<nn::Parameter*>* out);
 
+  // Inference forward: bitwise equal to Forward(x) for every HeadKind, but
+  // caches nothing for Backward (the nn::Linear::ForwardEvalInto idiom), so
+  // it neither copies layer inputs nor disturbs a pending Forward/Backward.
+  linalg::Matrix ForwardEval(const linalg::Matrix& x) const;
+
   std::size_t in_dim() const { return in_dim_; }
   std::size_t out_dim() const { return out_dim_; }
 
@@ -77,13 +82,21 @@ class TextFeatureEncoder : public ItemEncoder {
   void CollectParameters(std::vector<nn::Parameter*>* out) override;
   std::string name() const override { return name_; }
 
+  // The item table for inference: bitwise Forward(false), through
+  // ProjectionHead::ForwardEval, so it touches no backward cache. The
+  // serving refit re-encodes the catalog with it.
+  linalg::Matrix Encode() const;
+
   const linalg::Matrix& features() const { return features_; }
 
   // Swaps in a new frozen feature table (same column count; the row count
   // may grow as the catalog does). The serving item-ingest path uses this
   // after refitting the whitening transform online: the trained projection
-  // head is kept, only its frozen input changes.
-  Status ReplaceFeatures(linalg::Matrix features);
+  // head is kept, only its frozen input changes. When `previous` is given,
+  // the outgoing table is moved into it (no copy), so a caller can keep it
+  // as a rollback snapshot. On error neither table is touched.
+  Status ReplaceFeatures(linalg::Matrix features,
+                         linalg::Matrix* previous = nullptr);
 
   // Rollback variant: swaps in a previously captured feature table, allowing
   // the row count to SHRINK (which ReplaceFeatures forbids, since serving

@@ -1,4 +1,5 @@
 #include <cmath>
+#include <cstring>
 #include <numeric>
 
 #include <gtest/gtest.h>
@@ -67,6 +68,74 @@ TEST(MatrixTest, RowSlice) {
   EXPECT_EQ(s.rows(), 2u);
   EXPECT_DOUBLE_EQ(s(0, 0), 3.0);
   EXPECT_DOUBLE_EQ(s(1, 1), 6.0);
+}
+
+TEST(MatrixTest, AppendRowKeepsEarlierRowsBitwiseAcrossReallocations) {
+  Rng rng(41);
+  const Matrix source = rng.GaussianMatrix(200, 5, 1.0);
+  Matrix grown = source.RowSlice(0, 3);
+  std::size_t reallocations = 0;
+  for (std::size_t r = 3; r < source.rows(); ++r) {
+    const std::size_t capacity = grown.CapacityBytes();
+    const double* before = grown.data();
+    grown.AppendRow(source.RowPtr(r), source.cols());
+    if (grown.CapacityBytes() != capacity || grown.data() != before) {
+      ++reallocations;
+    }
+    ASSERT_EQ(grown.rows(), r + 1);
+    ASSERT_EQ(grown.cols(), source.cols());
+    // Every row so far, not only the new one, is the source row bitwise.
+    ASSERT_EQ(std::memcmp(grown.data(), source.data(),
+                          (r + 1) * source.cols() * sizeof(double)),
+              0)
+        << "after appending row " << r;
+  }
+  // Geometric growth: several reallocations, far fewer than appends.
+  EXPECT_GE(reallocations, 3u);
+  EXPECT_LT(reallocations, 20u);
+}
+
+TEST(MatrixTest, TruncateRowsKeepsCapacityAndHidesStaleRows) {
+  Rng rng(42);
+  const Matrix source = rng.GaussianMatrix(40, 3, 1.0);
+  Matrix m = source;
+  const std::size_t capacity = m.CapacityBytes();
+  m.TruncateRows(10);
+  EXPECT_EQ(m.rows(), 10u);
+  EXPECT_EQ(m.cols(), 3u);
+  EXPECT_EQ(m.size(), 30u);
+  EXPECT_EQ(m.CapacityBytes(), capacity);
+  EXPECT_EQ(std::memcmp(m.data(), source.data(), 30 * sizeof(double)), 0);
+
+  // Appending after the truncate reuses the capacity and shows only the new
+  // rows past the cut, never the dropped ones.
+  const Matrix fresh = rng.GaussianMatrix(5, 3, 1.0);
+  for (std::size_t r = 0; r < fresh.rows(); ++r) {
+    m.AppendRow(fresh.RowPtr(r), fresh.cols());
+  }
+  EXPECT_EQ(m.rows(), 15u);
+  EXPECT_EQ(m.CapacityBytes(), capacity);
+  EXPECT_EQ(std::memcmp(m.data(), source.data(), 30 * sizeof(double)), 0);
+  EXPECT_EQ(std::memcmp(m.RowPtr(10), fresh.data(), 15 * sizeof(double)), 0);
+
+  m.TruncateRows(0);
+  EXPECT_EQ(m.rows(), 0u);
+  EXPECT_EQ(m.cols(), 3u);
+  EXPECT_TRUE(m.empty());
+  m.TruncateRows(0);  // truncating to the current row count is a no-op
+  EXPECT_EQ(m.rows(), 0u);
+}
+
+TEST(MatrixDeathTest, AppendRowWidthMismatchAborts) {
+  Matrix m(2, 3);
+  const double row[4] = {1.0, 2.0, 3.0, 4.0};
+  EXPECT_DEATH(m.AppendRow(row, 4), "WR_CHECK failed");
+  EXPECT_DEATH(m.AppendRow(row, 2), "WR_CHECK failed");
+}
+
+TEST(MatrixDeathTest, TruncateRowsPastRowCountAborts) {
+  Matrix m(2, 3);
+  EXPECT_DEATH(m.TruncateRows(3), "WR_CHECK failed");
 }
 
 TEST(MatrixTest, ColSliceAndSetColSlice) {

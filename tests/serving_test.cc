@@ -30,6 +30,7 @@
 #include "core/parallel.h"
 #include "data/batcher.h"
 #include "data/generator.h"
+#include "eval/conditioning.h"
 #include "eval/metrics.h"
 #include "linalg/rng.h"
 #include "seqrec/baselines.h"
@@ -1392,6 +1393,162 @@ TEST(Ingest, ChaosRefitFailureRollsBackToLastGoodStateBitwise) {
   }
   EXPECT_EQ(service.table_version(), 1u);
   EXPECT_EQ(service.num_items(), items_before + config.refit_every);
+}
+
+// One ingest trace through a refused refit, a chaos-interrupted refit and a
+// committed one, with requests served between the phases.
+struct IngestTraceRun {
+  std::vector<ServeResponse> responses;
+  std::vector<StatusCode> codes;  // one per IngestItem call
+  ServeStats stats;
+  std::uint64_t table_version = 0;
+  std::size_t num_items = 0;
+  std::vector<QuarantinedFeature> quarantine;
+};
+
+using FeatureRows = std::vector<std::vector<double>>;
+
+// Runs `collapse` rows (a guard refusal), then `interrupted` rows under a
+// chaos rate of 1 (a kRefitFailure rollback), then `survivors` (a commit),
+// serving the same probe requests before and after every phase. Empty
+// `collapse`/`interrupted` give the control that only ever saw survivors.
+IngestTraceRun RunIngestTrace(const ServeConfig& config,
+                              const FeatureRows& collapse,
+                              const FeatureRows& interrupted,
+                              const FeatureRows& survivors) {
+  const Matrix& raw = Fixture().data.dataset.text_embeddings;
+  auto rec = FreshModel();
+  RecommendService service(rec->model(), config);
+  EXPECT_TRUE(service.EnableIngest(raw, WhiteningKind::kZca, 1e-5).ok());
+  const std::size_t base = service.num_items();
+  IngestTraceRun run;
+  std::size_t step = 0;
+  auto probe = [&](std::size_t catalog) {
+    for (std::uint64_t session = 1; session <= 3; ++session) {
+      run.responses.push_back(
+          service.Handle(ServeRequest{session, (session * 7 + step) % catalog}));
+    }
+    ++step;
+  };
+  auto ingest = [&](const FeatureRows& rows) {
+    for (const std::vector<double>& row : rows) {
+      run.codes.push_back(service.IngestItem(row).code());
+    }
+  };
+  probe(base);
+  ingest(collapse);
+  probe(base);
+  {
+    ScopedChaosConfig chaos(/*seed=*/5, /*rate=*/1.0);
+    ingest(interrupted);
+  }
+  probe(base);
+  ingest(survivors);
+  probe(service.num_items());  // reaches the newly committed items too
+  probe(service.num_items());
+  run.stats = service.stats();
+  run.table_version = service.table_version();
+  run.num_items = service.num_items();
+  run.quarantine = service.quarantine();
+  return run;
+}
+
+bool SameStats(const ServeStats& a, const ServeStats& b) {
+  return a.requests == b.requests && a.batches == b.batches &&
+         a.cache_hits == b.cache_hits && a.recomputes == b.recomputes &&
+         a.evictions == b.evictions && a.ingested == b.ingested &&
+         a.refits == b.refits && a.index_rebuilds == b.index_rebuilds &&
+         a.queue_sheds == b.queue_sheds &&
+         a.deadline_sheds == b.deadline_sheds &&
+         a.quarantined == b.quarantined &&
+         a.refit_failures == b.refit_failures && a.rollbacks == b.rollbacks;
+}
+
+// Smallest covariance eigenvalue the refit guard sees after `rows` are
+// ingested on top of `raw` (the same Welford sequence the service runs).
+double MinEigenvalueAfter(const Matrix& raw, const FeatureRows& rows) {
+  IncrementalWhitening acc(raw.cols());
+  acc.Add(raw);
+  for (const std::vector<double>& row : rows) acc.Add(Matrix::FromRows({row}));
+  return eval::AnalyzeCovarianceConditioning(acc.CovarianceMatrix().value())
+      .min_eigenvalue;
+}
+
+TEST(Ingest, RollbackThenCommitMatchesServiceThatSawOnlySurvivors) {
+  // The raw catalog grows in place and rollbacks truncate it in place, so a
+  // refused or interrupted refit must leave no trace once a later refit
+  // commits: same catalog, same responses as a service that never saw the
+  // dropped rows. 64 pending rows on the 23-item fixture catalog cross
+  // several reallocation boundaries of its EnableIngest copy; the later
+  // phases append into the capacity the truncations kept.
+  const Matrix& raw = Fixture().data.dataset.text_embeddings;
+  const std::size_t k = 64;
+  IncrementalWhitening moments(raw.cols());
+  moments.Add(raw);
+  // Rows at the exact catalog mean pass every per-row check but add no
+  // variance, so the (rank-deficient) fixture covariance keeps its null
+  // space. Noisy copies of catalog rows fill it in.
+  const FeatureRows collapse(k, moments.Mean());
+  linalg::Rng rng(31);
+  FeatureRows interrupted;
+  FeatureRows survivors;
+  for (std::size_t i = 0; i < k; ++i) {
+    for (FeatureRows* rows : {&interrupted, &survivors}) {
+      std::vector<double> row = raw.Row((rows->size() * 5 + i) % raw.rows());
+      for (double& x : row) x += rng.Gaussian() * 0.05;
+      rows->push_back(row);
+    }
+  }
+  ServeConfig config;
+  config.refit_every = k;
+  config.refit_eigen_floor = 1e-6;
+  ASSERT_LT(MinEigenvalueAfter(raw, collapse), config.refit_eigen_floor);
+  ASSERT_GT(MinEigenvalueAfter(raw, interrupted), config.refit_eigen_floor);
+  ASSERT_GT(MinEigenvalueAfter(raw, survivors), config.refit_eigen_floor);
+
+  const std::size_t configured_threads = core::NumThreads();
+  core::SetNumThreads(1);
+  const IngestTraceRun run = RunIngestTrace(config, collapse, interrupted,
+                                            survivors);
+  const IngestTraceRun control = RunIngestTrace(config, {}, {}, survivors);
+
+  ASSERT_EQ(run.codes.size(), 3 * k);
+  EXPECT_EQ(run.codes[k - 1], StatusCode::kNumericalError);
+  EXPECT_EQ(run.codes[2 * k - 1], StatusCode::kUnavailable);
+  for (std::size_t i = 2 * k; i < 3 * k; ++i) {
+    EXPECT_EQ(run.codes[i], StatusCode::kOk) << "survivor " << i - 2 * k;
+  }
+  EXPECT_EQ(run.stats.refit_failures, 2u);
+  EXPECT_EQ(run.stats.rollbacks, 1u);
+  EXPECT_EQ(run.stats.refits, 1u);
+  EXPECT_EQ(run.table_version, 1u);
+  EXPECT_EQ(control.table_version, 1u);
+
+  EXPECT_EQ(run.num_items, raw.rows() + k);
+  EXPECT_EQ(run.num_items, control.num_items);
+  EXPECT_TRUE(control.quarantine.empty());
+  ASSERT_EQ(run.quarantine.size(), 2 * k);
+  for (std::size_t i = 0; i < 2 * k; ++i) {
+    const std::vector<double>& dropped =
+        i < k ? collapse[i] : interrupted[i - k];
+    EXPECT_EQ(run.quarantine[i].reason, "dropped by refit rollback");
+    ASSERT_EQ(run.quarantine[i].feature.size(), dropped.size());
+    EXPECT_TRUE(BitwiseEqualRows(run.quarantine[i].feature.data(),
+                                 dropped.data(), dropped.size()))
+        << "quarantined row " << i;
+  }
+  ASSERT_TRUE(SameResponses(run.responses, control.responses));
+
+  // The two-chunk guard/fit refit is thread-count independent.
+  core::SetNumThreads(4);
+  const IngestTraceRun threaded = RunIngestTrace(config, collapse,
+                                                 interrupted, survivors);
+  core::SetNumThreads(configured_threads);
+  EXPECT_TRUE(SameResponses(run.responses, threaded.responses));
+  EXPECT_TRUE(SameStats(run.stats, threaded.stats));
+  EXPECT_EQ(run.codes, threaded.codes);
+  EXPECT_EQ(run.table_version, threaded.table_version);
+  EXPECT_EQ(run.num_items, threaded.num_items);
 }
 
 TEST(Soak, ChaosSoakServesCorrectlyOrShedsTyped) {

@@ -1,4 +1,5 @@
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -368,6 +369,80 @@ TEST_P(HeadKindTest, ParameterCountPositive) {
   EXPECT_FALSE(params.empty());
 }
 
+bool BitwiseEqual(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+// Gaussian features (about half negative) with exact zeros of both signs
+// mixed in.
+Matrix SignedZeroFeatures(Rng* rng, std::size_t rows, std::size_t cols) {
+  Matrix x = rng->GaussianMatrix(rows, cols, 1.0);
+  for (std::size_t i = 0; i < x.size(); i += 5) {
+    x.data()[i] = (i % 2 == 0) ? -0.0 : 0.0;
+  }
+  return x;
+}
+
+TEST_P(HeadKindTest, ForwardEvalMatchesForwardBitwise) {
+  Rng rng(54);
+  ProjectionHead head(7, 5, GetParam(), &rng);
+  const Matrix x = SignedZeroFeatures(&rng, 33, 7);
+  const Matrix eval = head.ForwardEval(x);
+  const Matrix train = head.Forward(x);
+  EXPECT_TRUE(BitwiseEqual(eval, train));
+}
+
+TEST_P(HeadKindTest, EncodeMatchesForwardBitwise) {
+  Rng rng(55);
+  TextFeatureEncoder enc(SignedZeroFeatures(&rng, 29, 6), 4, GetParam(),
+                         &rng);
+  const Matrix encoded = enc.Encode();
+  EXPECT_TRUE(BitwiseEqual(encoded, enc.Forward(false)));
+  EXPECT_TRUE(BitwiseEqual(encoded, enc.Forward(true)));
+}
+
+TEST_P(HeadKindTest, EncodeTouchesNoBackwardCache) {
+  // Two encoders with identical parameters. Both run Forward(true) on the
+  // same table and then Backward; the second also swaps in a different
+  // table and Encodes it in between. Had Encode written any layer cache, the
+  // second backward would read the other table's activations.
+  Rng rng_a(56);
+  Rng rng_b(56);
+  const Matrix features = SignedZeroFeatures(&rng_a, 17, 6);
+  const Matrix other = SignedZeroFeatures(&rng_b, 17, 6);
+  ASSERT_TRUE(BitwiseEqual(features, other));
+  TextFeatureEncoder plain(features, 4, GetParam(), &rng_a);
+  TextFeatureEncoder probed(features, 4, GetParam(), &rng_b);
+  Rng rng(57);
+  const Matrix dv = rng.GaussianMatrix(17, 4, 1.0);
+
+  std::vector<nn::Parameter*> plain_params;
+  std::vector<nn::Parameter*> probed_params;
+  plain.CollectParameters(&plain_params);
+  probed.CollectParameters(&probed_params);
+  ASSERT_EQ(plain_params.size(), probed_params.size());
+  for (nn::Parameter* p : plain_params) p->ZeroGrad();
+  for (nn::Parameter* p : probed_params) p->ZeroGrad();
+
+  plain.Forward(true);
+  plain.Backward(dv);
+
+  probed.Forward(true);
+  probed.Encode();
+  Matrix previous;
+  ASSERT_TRUE(
+      probed.ReplaceFeatures(rng.GaussianMatrix(17, 6, 3.0), &previous).ok());
+  EXPECT_TRUE(BitwiseEqual(previous, features));
+  probed.Encode();
+  probed.Backward(dv);
+
+  for (std::size_t i = 0; i < plain_params.size(); ++i) {
+    EXPECT_TRUE(BitwiseEqual(plain_params[i]->grad, probed_params[i]->grad))
+        << plain_params[i]->name;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllHeads, HeadKindTest,
                          ::testing::Values(HeadKind::kLinear, HeadKind::kMlp1,
                                            HeadKind::kMlp2, HeadKind::kMlp3,
@@ -386,6 +461,35 @@ TEST(HeadKindTest2, DeeperHeadsHaveMoreParameters) {
   EXPECT_LT(count(HeadKind::kLinear), count(HeadKind::kMlp1));
   EXPECT_LT(count(HeadKind::kMlp1), count(HeadKind::kMlp2));
   EXPECT_LT(count(HeadKind::kMlp2), count(HeadKind::kMlp3));
+}
+
+TEST(TextFeatureEncoderTest, ReplaceFeaturesMovesOutThePreviousTable) {
+  Rng rng(58);
+  const Matrix features = rng.GaussianMatrix(12, 6, 1.0);
+  TextFeatureEncoder enc(features, 4, HeadKind::kLinear, &rng);
+  const double* storage = enc.features().data();
+
+  // A grown table swaps in; the outgoing one comes back by move (same
+  // storage, no copy).
+  const Matrix grown = rng.GaussianMatrix(14, 6, 1.0);
+  Matrix previous;
+  ASSERT_TRUE(enc.ReplaceFeatures(grown, &previous).ok());
+  EXPECT_TRUE(BitwiseEqual(previous, features));
+  EXPECT_EQ(previous.data(), storage);
+  EXPECT_TRUE(BitwiseEqual(enc.features(), grown));
+
+  // On error neither table changes.
+  Matrix untouched = Matrix(1, 1, 9.0);
+  EXPECT_FALSE(
+      enc.ReplaceFeatures(rng.GaussianMatrix(14, 5, 1.0), &untouched).ok());
+  EXPECT_FALSE(
+      enc.ReplaceFeatures(rng.GaussianMatrix(13, 6, 1.0), &untouched).ok());
+  EXPECT_TRUE(BitwiseEqual(untouched, Matrix(1, 1, 9.0)));
+  EXPECT_TRUE(BitwiseEqual(enc.features(), grown));
+
+  // Without `previous` the outgoing table is simply dropped.
+  ASSERT_TRUE(enc.ReplaceFeatures(rng.GaussianMatrix(14, 6, 1.0)).ok());
+  EXPECT_EQ(enc.num_items(), 14u);
 }
 
 TEST(TextFeatureEncoderTest, ShapeAndGradientFlow) {
