@@ -171,11 +171,16 @@ BENCHMARK(BM_ScoringVariant)
 // the serving shape (d = 32, top-10, 12 sorted exclusions per row) over a
 // rows x catalog sweep. One row is the light-load regime (batches of ~1),
 // where per-call work that does not scale with rows shows; 64 rows is the
-// capacity regime, where the top-K epilogue's per-score cost shows.
+// capacity regime, where the top-K epilogue's per-score cost shows. The
+// third argument is the thread count: a batch of at most one 64-row block
+// on 2 threads is scored as one range of catalog columns per thread.
 // items/s counts multiply-adds, so GFLOP/s = 2 * items/s / 1e9.
 void BM_ExactScorerRows(benchmark::State& state) {
   const std::size_t rows = static_cast<std::size_t>(state.range(0));
   const std::size_t num_items = static_cast<std::size_t>(state.range(1));
+  const std::size_t threads = static_cast<std::size_t>(state.range(2));
+  const std::size_t saved = core::NumThreads();
+  core::SetNumThreads(threads);
   const std::size_t d = 32;
   const std::size_t k = 10;
   const std::size_t excluded = 12;
@@ -201,9 +206,11 @@ void BM_ExactScorerRows(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(rows * num_items * d));
+  state.SetLabel(std::to_string(threads) + " thread(s)");
+  core::SetNumThreads(saved);
 }
 BENCHMARK(BM_ExactScorerRows)
-    ->ArgsProduct({{1, 8, 64}, {16384, 131072}})
+    ->ArgsProduct({{1, 8, 64}, {16384, 131072}, {1, 2}})
     ->Unit(benchmark::kMillisecond);
 
 // One accepted RecommendService::IngestItem (no refit) over a catalog of

@@ -5,6 +5,7 @@
 #include "core/check.h"
 #include "core/knobs.h"
 #include "core/parallel.h"
+#include "linalg/kernel.h"
 #include "linalg/workspace.h"
 
 // The blocked kernels follow the classic packed-GEMM decomposition:
@@ -13,7 +14,8 @@
 //     pack op(B)[k-panel, :] into kNr-wide column strips  (calling thread;
 //       a PackedItemTable already holds them, packed once)
 //     ParallelFor over kMc-row blocks of C:
-//       pack op(A)[row block, k-panel] into kMr-tall row strips  (per worker)
+//       pack op(A)[row block, k-panel] into kMr-tall row strips  (per worker;
+//         the packed score stream packs all of A once per call instead)
 //       for each kNr column strip, for each kMr row strip:
 //         register-tiled micro-kernel: C tile += Apack strip * Bpack strip
 //
@@ -27,17 +29,15 @@
 // naive kernels' order, which is why the two variants are bitwise identical
 // (gemm_test asserts it) and why WHITENREC_GEMM is unobservable in results.
 //
-// The micro-kernel is written for auto-vectorization, not intrinsics: fixed
-// trip counts, restrict-qualified unit-stride pointers, and a kMr x kNr
-// accumulator array that lives in registers at -O3. whitenrec_linalg builds
-// with -ffp-contract=off so both variants lower a*b+acc identically even on
+// The micro-kernel holds its register tile as kMr rows of a kNr-wide GCC /
+// Clang vector-extension type (TileRow), not as a scalar array left to the
+// auto-vectorizer (which lowered it into a transposed layout with a shuffle
+// per k). Each ISA clone keeps a tile row in one zmm (avx512f), two ymm
+// (avx2) or four xmm (baseline), broadcasts one packed A value per row and
+// k, and issues a vector multiply then a vector add: per lane, the same
+// acc = acc + a * b chain as the naive loops. whitenrec_linalg builds with
+// -ffp-contract=off so both variants lower a*b+acc identically even on
 // FMA-capable -march builds.
-
-#if defined(__GNUC__) || defined(__clang__)
-#define WR_RESTRICT __restrict__
-#else
-#define WR_RESTRICT
-#endif
 
 namespace whitenrec {
 namespace linalg {
@@ -52,8 +52,8 @@ using RowBlockHook = std::function<void(std::size_t i0, std::size_t i1)>;
 // strip (kKc * kMr) and B strip (kKc * kNr) are each 8 KB — L1-resident —
 // while the full packed A block (kMc * kKc = 128 KB) sits in L2.
 constexpr std::size_t kMr = 4;
-constexpr std::size_t kNr = 8;
-constexpr std::size_t kMc = 64;
+constexpr std::size_t kNr = kGemmStripCols;
+constexpr std::size_t kMc = kGemmRowBlock;
 constexpr std::size_t kKc = 256;
 static_assert(kMc % kMr == 0, "row block must be a whole number of strips");
 
@@ -212,110 +212,133 @@ void PackB(const Matrix& b, bool trans, std::size_t j0, std::size_t nb,
 // Micro-kernels
 // ---------------------------------------------------------------------------
 
-// The micro-kernels are cloned per ISA level (resolved once via ifunc): the
-// baseline x86-64 build stays portable while AVX2/AVX-512 hardware gets full
-// vector width. Every clone performs the identical per-element mul-then-add
-// sequence (-ffp-contract=off, no reassociation), so the dispatch cannot
-// change a single bit of output.
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
-    !defined(WHITENREC_NO_TARGET_CLONES)
-#define WR_KERNEL_CLONES \
-  __attribute__((target_clones("default", "avx2", "avx512f")))
-#else
-#define WR_KERNEL_CLONES
-#endif
+// One row of the register tile: kNr doubles in one vector-extension value.
+typedef double TileRow __attribute__((vector_size(kNr * sizeof(double))));
 
-// Full tile: C[0:kMr, 0:kNr] (row stride ldc) += Apack strip * Bpack strip.
-// The accumulator array has fixed extents and restrict-qualified unit-stride
-// operands, which is what the auto-vectorizer needs to keep it in registers.
+// Rows [0, M) of one tile: C[0:M, 0:n] (row stride ldc) = (load_c ? C : 0)
+// + Apack strip * Bpack strip, reading row i's A value at ap[k * kMr + i].
+// Starting from +0.0 is bitwise starting from a zero-filled C. Lanes past n
+// multiply the strip's zero padding and are never stored. Inlined into the
+// cloned kernels below, so it compiles once per ISA level.
+template <std::size_t M>
+WR_ALWAYS_INLINE void TileRows(std::size_t kb, const double* WR_RESTRICT ap,
+                               const double* WR_RESTRICT bp,
+                               double* WR_RESTRICT c, std::size_t ldc,
+                               std::size_t n, bool load_c) {
+  TileRow acc[M];
+  for (std::size_t i = 0; i < M; ++i) {
+    acc[i] = TileRow{};
+    if (!load_c) continue;
+    if (n == kNr) {
+      __builtin_memcpy(&acc[i], c + i * ldc, sizeof(TileRow));
+    } else {
+      for (std::size_t j = 0; j < n; ++j) acc[i][j] = c[i * ldc + j];
+    }
+  }
+  for (std::size_t k = 0; k < kb; ++k) {
+    TileRow bv;
+    __builtin_memcpy(&bv, bp + k * kNr, sizeof(TileRow));
+    const double* WR_RESTRICT av = ap + k * kMr;
+    for (std::size_t i = 0; i < M; ++i) acc[i] = acc[i] + av[i] * bv;
+  }
+  for (std::size_t i = 0; i < M; ++i) {
+    if (n == kNr) {
+      __builtin_memcpy(c + i * ldc, &acc[i], sizeof(TileRow));
+    } else {
+      for (std::size_t j = 0; j < n; ++j) c[i * ldc + j] = acc[i][j];
+    }
+  }
+}
+
+// Full kMr x kNr tile.
 WR_KERNEL_CLONES
 void MicroKernelFull(std::size_t kb, const double* WR_RESTRICT ap,
                      const double* WR_RESTRICT bp, double* WR_RESTRICT c,
-                     std::size_t ldc) {
-  double acc[kMr][kNr];
-  for (std::size_t i = 0; i < kMr; ++i)
-    for (std::size_t j = 0; j < kNr; ++j) acc[i][j] = c[i * ldc + j];
-  for (std::size_t k = 0; k < kb; ++k) {
-    const double* WR_RESTRICT av = ap + k * kMr;
-    const double* WR_RESTRICT bv = bp + k * kNr;
-    for (std::size_t i = 0; i < kMr; ++i) {
-      const double aik = av[i];
-      for (std::size_t j = 0; j < kNr; ++j) acc[i][j] += aik * bv[j];
-    }
-  }
-  for (std::size_t i = 0; i < kMr; ++i)
-    for (std::size_t j = 0; j < kNr; ++j) c[i * ldc + j] = acc[i][j];
+                     std::size_t ldc, bool load_c) {
+  TileRows<kMr>(kb, ap, bp, c, ldc, kNr, load_c);
 }
 
-// Edge tile: same accumulation, but only the (m x n) valid corner of C is
-// loaded and stored. The packed operands are zero-padded, so the spare
-// accumulators compute only inert zeros.
+// Edge tile: only the m valid rows are computed and the (m x n) valid
+// corner of C loaded and stored, so a 1-row batch pays for one row.
 WR_KERNEL_CLONES
 void MicroKernelEdge(std::size_t kb, const double* WR_RESTRICT ap,
                      const double* WR_RESTRICT bp, double* WR_RESTRICT c,
-                     std::size_t ldc, std::size_t m, std::size_t n) {
-  double acc[kMr][kNr] = {};
-  for (std::size_t i = 0; i < m; ++i)
-    for (std::size_t j = 0; j < n; ++j) acc[i][j] = c[i * ldc + j];
-  for (std::size_t k = 0; k < kb; ++k) {
-    const double* WR_RESTRICT av = ap + k * kMr;
-    const double* WR_RESTRICT bv = bp + k * kNr;
-    for (std::size_t i = 0; i < kMr; ++i) {
-      const double aik = av[i];
-      for (std::size_t j = 0; j < kNr; ++j) acc[i][j] += aik * bv[j];
-    }
+                     std::size_t ldc, std::size_t m, std::size_t n,
+                     bool load_c) {
+  static_assert(kMr == 4, "one case per edge row count");
+  switch (m) {
+    case 1:
+      TileRows<1>(kb, ap, bp, c, ldc, n, load_c);
+      break;
+    case 2:
+      TileRows<2>(kb, ap, bp, c, ldc, n, load_c);
+      break;
+    case 3:
+      TileRows<3>(kb, ap, bp, c, ldc, n, load_c);
+      break;
+    default:
+      TileRows<kMr>(kb, ap, bp, c, ldc, n, load_c);
+      break;
   }
-  for (std::size_t i = 0; i < m; ++i)
-    for (std::size_t j = 0; j < n; ++j) c[i * ldc + j] = acc[i][j];
 }
 
 // ---------------------------------------------------------------------------
-// Blocked driver: C += op(A) * op(B), C already shaped (m, n).
+// Blocked driver: C += op(A) * op(B) (C = … in overwrite mode), C already
+// shaped (m, n).
 //
-// `b_panel(k0, kb)` is the B-strip source. It is called once per k-panel on
-// the calling thread and returns that kb-deep panel of op(B) for C's n
-// columns as kNr-wide strips (strip js at offset js * kb * kNr, the last
-// strip zero-padded): PackBPerCall packs it into the workspace, PrePackedB
-// points into a PackedItemTable. Either way the row-block loop and the
-// micro-kernels below are the same, so the two sources are bitwise equal.
+// `a_block(i0, mb, k0, kb)` is the A-strip source. It is called once per
+// (row block, k-panel) on the worker that owns the block and returns rows
+// [i0, i0 + mb) of that kb-deep panel of op(A) as kMr-tall strips (strip s
+// at offset s * kb * kMr, the last strip zero-padded): PackAPerBlock packs
+// it into the worker's workspace, PrePackedA points into a whole-A pack the
+// caller made once. `b_panel(k0, kb)` is the B-strip source. It is called
+// once per k-panel on the calling thread and returns that kb-deep panel of
+// op(B) for C's n columns as kNr-wide strips (strip js at offset
+// js * kb * kNr, the last strip zero-padded): PackBPerCall packs it into the
+// workspace, PrePackedB points into a PackedItemTable. Whatever the sources,
+// the row-block loop and the micro-kernels below are the same, so every
+// combination is bitwise equal.
+//
+// With `overwrite` the first k-panel's tiles start from +0.0 instead of
+// loading C — bitwise what accumulating onto a zero-filled C gives — so C's
+// incoming values are never read and need no zero-fill.
 // `hook`, when set, is the tile epilogue — fired per kMc row block as soon
 // as the block's final k-panel lands, i.e. while the block's C rows are
 // still cache-resident, from the worker that computed them.
 // ---------------------------------------------------------------------------
 
-template <typename BPanel>
-void BlockedGemm(const Matrix& a, bool trans_a, const BPanel& b_panel,
-                 Matrix* c, const RowBlockHook* hook = nullptr) {
+template <typename ABlock, typename BPanel>
+void BlockedGemm(const ABlock& a_block, const BPanel& b_panel,
+                 std::size_t k_total, bool overwrite, Matrix* c,
+                 const RowBlockHook* hook = nullptr) {
   const std::size_t m = c->rows();
   const std::size_t n = c->cols();
-  const std::size_t k_total = trans_a ? a.rows() : a.cols();
   if (m == 0 || n == 0) return;
   if (k_total == 0) {
-    // Empty sums: C is already final.
+    // Empty sums: C is already final, or all zeros when overwritten.
+    if (overwrite) c->SetZero();
     if (hook != nullptr) (*hook)(0, m);
     return;
   }
 
   const std::size_t nstrips = (n + kNr - 1) / kNr;
   const std::size_t nblocks = (m + kMc - 1) / kMc;
-  const std::size_t apack_size = kMc * kKc;
 
   for (std::size_t k0 = 0; k0 < k_total; k0 += kKc) {
     const std::size_t kb = std::min(kKc, k_total - k0);
     const bool last_panel = k0 + kb == k_total;
+    const bool load_c = !overwrite || k0 > 0;
     // Read by every worker; fetched once per k-panel on the calling thread.
     const double* bpanel = b_panel(k0, kb);
 
     const std::size_t grain = core::GrainForWork(kMc * n * kb);
     core::ParallelFor(0, nblocks, grain, [&](std::size_t blk0,
                                              std::size_t blk1) {
-      double* apack = ThreadLocalWorkspace().Buf(kWsGemmPackA, apack_size)
-                          .data();
       for (std::size_t blk = blk0; blk < blk1; ++blk) {
         const std::size_t i0 = blk * kMc;
         const std::size_t mb = std::min(kMc, m - i0);
         const std::size_t mstrips = (mb + kMr - 1) / kMr;
-        PackA(a, trans_a, i0, mb, k0, kb, apack);
+        const double* apack = a_block(i0, mb, k0, kb);
         // j outer / i inner: one L1-resident B strip is reused against the
         // whole L2-resident A block before moving on.
         for (std::size_t js = 0; js < nstrips; ++js) {
@@ -328,9 +351,9 @@ void BlockedGemm(const Matrix& a, bool trans_a, const BPanel& b_panel,
             const double* astrip = apack + is * kb * kMr;
             double* ctile = c->RowPtr(ibase) + j0;
             if (mr == kMr && nr == kNr) {
-              MicroKernelFull(kb, astrip, bstrip, ctile, n);
+              MicroKernelFull(kb, astrip, bstrip, ctile, n, load_c);
             } else {
-              MicroKernelEdge(kb, astrip, bstrip, ctile, n, mr, nr);
+              MicroKernelEdge(kb, astrip, bstrip, ctile, n, mr, nr, load_c);
             }
           }
         }
@@ -339,6 +362,37 @@ void BlockedGemm(const Matrix& a, bool trans_a, const BPanel& b_panel,
     });
   }
 }
+
+// A-strip source for a plain operand: packs each (row block, k-panel) of
+// op(A) into the calling worker's kWsGemmPackA buffer.
+struct PackAPerBlock {
+  const Matrix& a;
+  bool trans;
+
+  std::size_t depth() const { return trans ? a.rows() : a.cols(); }
+
+  const double* operator()(std::size_t i0, std::size_t mb, std::size_t k0,
+                           std::size_t kb) const {
+    double* apack =
+        ThreadLocalWorkspace().Buf(kWsGemmPackA, kMc * kKc).data();
+    PackA(a, trans, i0, mb, k0, kb, apack);
+    return apack;
+  }
+};
+
+// A-strip source over a whole-A pack: PackA of every k-panel of all of
+// op(A)'s rows, panel k0 at offset k0 * padded_rows (every earlier panel is
+// kKc deep and padded_rows tall). Row block i0 starts on a strip boundary
+// (kMc is a whole number of strips), at offset i0 * kb within its panel.
+struct PrePackedA {
+  const double* data;
+  std::size_t padded_rows;
+
+  const double* operator()(std::size_t i0, std::size_t /*mb*/,
+                           std::size_t k0, std::size_t kb) const {
+    return data + k0 * padded_rows + i0 * kb;
+  }
+};
 
 // B-strip source for a plain operand: packs each k-panel of op(B)'s column
 // window [j_off, j_off + n) into the calling thread's kWsGemmPackB buffer.
@@ -373,6 +427,15 @@ struct PrePackedB {
   }
 };
 
+// Accumulating blocked GEMM over plain operands: C += op(A) * op(B).
+void BlockedAcc(const Matrix& a, bool trans_a, const Matrix& b, bool trans_b,
+                Matrix* c, std::size_t j_off = 0,
+                const RowBlockHook* hook = nullptr) {
+  const PackAPerBlock a_block{a, trans_a};
+  BlockedGemm(a_block, PackBPerCall{b, trans_b, j_off, c->cols()},
+              a_block.depth(), /*overwrite=*/false, c, hook);
+}
+
 bool UseBlocked(std::size_t m, std::size_t n, std::size_t k) {
   return ActiveKind() == GemmKind::kBlocked && m * n * k >= kBlockedMinWork;
 }
@@ -386,8 +449,7 @@ void PanelTransB(const Matrix& a, const Matrix& b, std::size_t j0,
                  std::size_t jn, Matrix* c, const RowBlockHook* hook) {
   c->Resize(a.rows(), jn);
   if (UseBlocked(a.rows(), jn, a.cols())) {
-    BlockedGemm(a, /*trans_a=*/false, PackBPerCall{b, /*trans=*/true, j0, jn},
-                c, hook);
+    BlockedAcc(a, /*trans_a=*/false, b, /*trans_b=*/true, c, j0, hook);
   } else {
     NaiveMatMulTransB(a, b, c, j0, hook);
   }
@@ -445,8 +507,7 @@ void MatMulAcc(const Matrix& a, const Matrix& b, Matrix* c) {
   WR_CHECK_EQ(c->rows(), a.rows());
   WR_CHECK_EQ(c->cols(), b.cols());
   if (UseBlocked(c->rows(), c->cols(), a.cols())) {
-    BlockedGemm(a, /*trans_a=*/false,
-                PackBPerCall{b, /*trans=*/false, 0, c->cols()}, c);
+    BlockedAcc(a, /*trans_a=*/false, b, /*trans_b=*/false, c);
   } else {
     NaiveMatMul(a, b, c);
   }
@@ -458,8 +519,7 @@ void MatMulTransAAcc(const Matrix& a, const Matrix& b, Matrix* c) {
   WR_CHECK_EQ(c->rows(), a.cols());
   WR_CHECK_EQ(c->cols(), b.cols());
   if (UseBlocked(c->rows(), c->cols(), a.rows())) {
-    BlockedGemm(a, /*trans_a=*/true,
-                PackBPerCall{b, /*trans=*/false, 0, c->cols()}, c);
+    BlockedAcc(a, /*trans_a=*/true, b, /*trans_b=*/false, c);
   } else {
     NaiveMatMulTransA(a, b, c);
   }
@@ -471,8 +531,7 @@ void MatMulTransBAcc(const Matrix& a, const Matrix& b, Matrix* c) {
   WR_CHECK_EQ(c->rows(), a.rows());
   WR_CHECK_EQ(c->cols(), b.rows());
   if (UseBlocked(c->rows(), c->cols(), a.cols())) {
-    BlockedGemm(a, /*trans_a=*/false,
-                PackBPerCall{b, /*trans=*/true, 0, c->cols()}, c);
+    BlockedAcc(a, /*trans_a=*/false, b, /*trans_b=*/true, c);
   } else {
     NaiveMatMulTransB(a, b, c);
   }
@@ -582,27 +641,51 @@ void PackedItemTable::Clear() {
   std::vector<double>().swap(strips_);
 }
 
-void StreamPackedMatMulTransBTiles(const Matrix& a,
+void StreamPackedMatMulTransBRange(const Matrix& a,
                                    const PackedItemTable& items,
+                                   std::size_t j_begin, std::size_t j_end,
                                    std::size_t tile, const ScoreRowsFn& fn) {
   WR_CHECK_EQ(a.cols(), items.cols());
+  WR_CHECK_LE(j_begin, j_end);
+  WR_CHECK_LE(j_end, items.rows());
+  WR_CHECK_EQ(j_begin % kNr, 0u);
   WR_CHECK_GT(tile, 0u);
   WR_CHECK(fn != nullptr);
-  const std::size_t n = items.rows();
-  if (a.rows() == 0 || n == 0) return;
-  // Whole strips per tile: every tile but the last is a multiple of kNr
-  // wide, and the last ends at the table's own zero-padded strip. (Clamped
-  // to n first so rounding a huge knob value cannot wrap to zero.)
-  tile = (std::min(tile, n) + kNr - 1) / kNr * kNr;
+  const std::size_t m = a.rows();
+  const std::size_t k = a.cols();
+  if (m == 0 || j_begin == j_end) return;
+  // Whole strips per tile: every tile starts on a strip boundary, and the
+  // last one ends at j_end (inside the table's zero-padded last strip, or
+  // mid-strip, where the edge kernel stores only the columns in range).
+  // Clamped first so rounding a huge knob value cannot wrap to zero.
+  tile = (std::min(tile, j_end - j_begin) + kNr - 1) / kNr * kNr;
+  // The users block is the same for every tile: pack all of it once, into
+  // the calling thread's workspace (read by the row-block workers).
+  const std::size_t padded_rows = (m + kMr - 1) / kMr * kMr;
+  double* apack =
+      ThreadLocalWorkspace().Buf(kWsStreamPackA, padded_rows * k).data();
+  for (std::size_t k0 = 0; k0 < k; k0 += kKc) {
+    PackA(a, /*trans=*/false, 0, m, k0, std::min(kKc, k - k0),
+          apack + k0 * padded_rows);
+  }
+  const PrePackedA a_block{apack, padded_rows};
   Matrix& panel = ThreadLocalWorkspace().MatRef(kWsStreamPanel);
-  for (std::size_t j0 = 0; j0 < n; j0 += tile) {
-    const std::size_t jn = std::min(tile, n - j0);
+  for (std::size_t j0 = j_begin; j0 < j_end; j0 += tile) {
+    const std::size_t jn = std::min(tile, j_end - j0);
     const RowBlockHook hook = [&](std::size_t i0, std::size_t i1) {
       fn(i0, i1, j0, jn, panel);
     };
-    panel.Resize(a.rows(), jn);
-    BlockedGemm(a, /*trans_a=*/false, PrePackedB{items, j0}, &panel, &hook);
+    // Every element is overwritten, so the panel is reshaped, not cleared.
+    panel.Reshape(m, jn);
+    BlockedGemm(a_block, PrePackedB{items, j0}, k, /*overwrite=*/true,
+                &panel, &hook);
   }
+}
+
+void StreamPackedMatMulTransBTiles(const Matrix& a,
+                                   const PackedItemTable& items,
+                                   std::size_t tile, const ScoreRowsFn& fn) {
+  StreamPackedMatMulTransBRange(a, items, 0, items.rows(), tile, fn);
 }
 
 void StreamPackedMatMulTransB(const Matrix& a, const PackedItemTable& items,

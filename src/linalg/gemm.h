@@ -126,6 +126,14 @@ void StreamMatMulTransBTiles(const Matrix& a, const Matrix& b,
 void StreamMatMulTransBPanels(const Matrix& a, const Matrix& b,
                               std::size_t tile, const ScorePanelFn& fn);
 
+// Blocked-kernel geometry that callers cut work on. A column strip is
+// kGemmStripCols items wide: packed tables are laid out in strips, and
+// packed-stream tiles and ranges start on strip boundaries. A row block is
+// kGemmRowBlock rows: a batch of at most that many rows is one block, which
+// one worker computes per tile.
+inline constexpr std::size_t kGemmStripCols = 8;
+inline constexpr std::size_t kGemmRowBlock = 64;
+
 // An item table packed once into the blocked kernel's B-strip layout, so
 // scoring streams read it directly instead of re-packing B on every call.
 // Layout: for each kKc-deep k-panel (ascending), for each 8-column strip of
@@ -151,13 +159,25 @@ class PackedItemTable {
 
 // Streams C = A * items^T from a pre-packed table: same panels, same row
 // blocks, same bitwise scores as StreamMatMulTransB over the source matrix,
-// minus the per-call B packing. Always runs the blocked kernel; tile width
-// is ScoreTileCols() rounded up to a multiple of 8.
+// minus the per-call B packing. A is packed once per call, not per tile,
+// and panels are overwritten rather than zero-filled first. Always runs the
+// blocked kernel; tile width is ScoreTileCols() rounded up to a multiple of
+// kGemmStripCols.
 void StreamPackedMatMulTransB(const Matrix& a, const PackedItemTable& items,
                               const ScoreRowsFn& fn);
 // Same with an explicit tile width (rounded up likewise; tests sweep it).
 void StreamPackedMatMulTransBTiles(const Matrix& a,
                                    const PackedItemTable& items,
+                                   std::size_t tile, const ScoreRowsFn& fn);
+// Same over the item columns [j_begin, j_end) only: tiles start at j_begin,
+// which must be a multiple of kGemmStripCols, and the last one ends at
+// j_end, which may fall mid-strip. fn's j0 is the absolute item index, and
+// every score is bitwise the full stream's. The panel and packed A live in
+// the calling thread's workspace, so ranges streamed from different threads
+// are independent; StreamPackedMatMulTransBTiles is the [0, rows) range.
+void StreamPackedMatMulTransBRange(const Matrix& a,
+                                   const PackedItemTable& items,
+                                   std::size_t j_begin, std::size_t j_end,
                                    std::size_t tile, const ScoreRowsFn& fn);
 
 // Single element of A * B^T: a[i] . b[j], accumulated in the canonical

@@ -83,6 +83,16 @@ class Matrix {
     data_.assign(rows * cols, 0.0);
   }
 
+  // Reshapes to (rows, cols) WITHOUT clearing: element values are
+  // unspecified (stale where the old storage is reused, zero where it
+  // grows). For destinations the caller overwrites in full; the heap
+  // allocation is reused like Resize's.
+  void Reshape(std::size_t rows, std::size_t cols) {
+    rows_ = rows;
+    cols_ = cols;
+    data_.resize(rows * cols);
+  }
+
   // Appends one row of n == cols() values, amortized O(cols): the backing
   // vector grows geometrically, so earlier rows are never copied per append
   // (only on the occasional reallocation). `row` must not point into this

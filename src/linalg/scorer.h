@@ -62,7 +62,9 @@ class Scorer {
 // the per-row gated selector pass, bitwise identical to materializing
 // A * B^T and partial-sorting each row under the strict score-desc/id-asc
 // order. Holds one packed copy of the table (rows * d * 8 bytes, rows
-// rounded up to 8) per live scorer.
+// rounded up to 8) per live scorer. A batch of at most one 64-row block on
+// a multi-thread pool is scored as one item-column range per thread, merged
+// in range order, with bitwise the same lists.
 std::unique_ptr<Scorer> MakeExactScorer();
 
 }  // namespace linalg

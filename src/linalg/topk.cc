@@ -1,8 +1,10 @@
 #include "linalg/topk.h"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "core/check.h"
+#include "linalg/kernel.h"
 
 namespace whitenrec {
 namespace linalg {
@@ -19,6 +21,17 @@ inline bool IsExcluded(std::span<const std::size_t> sorted_exclusions,
                        std::size_t item) {
   return std::binary_search(sorted_exclusions.begin(),
                             sorted_exclusions.end(), item);
+}
+
+// True when some scores[c] >= floor. One branch-free pass whose compares
+// OR into an integer, so it vectorizes at each clone's full width; NaN
+// compares false, so it never passes.
+WR_KERNEL_CLONES
+bool AnyScoreAtLeast(const double* WR_RESTRICT scores, std::size_t n,
+                     double floor) {
+  std::uint64_t any = 0;
+  for (std::size_t c = 0; c < n; ++c) any |= scores[c] >= floor ? 1u : 0u;
+  return any != 0;
 }
 
 }  // namespace
@@ -61,6 +74,10 @@ void TopKSelector::PushTile(const double* scores, std::size_t j0,
   for (; c < jn && heap_.size() < k_; ++c) {
     if (!IsExcluded(sorted_exclusions, j0 + c)) Push(j0 + c, scores[c]);
   }
+  // Tile gate: the rest of the tile holds no winner unless some score is
+  // >= the root's (the root only rises), which one scan settles for almost
+  // every tile of a large catalog.
+  if (c < jn && !AnyScoreAtLeast(scores + c, jn - c, heap_[0].score)) return;
   for (; c < jn; c += kGateChunk) {
     const std::size_t cn = std::min(kGateChunk, jn - c);
     if (cn == kGateChunk) {
@@ -85,6 +102,14 @@ void TopKSelector::PushTile(const double* scores, std::size_t j0,
         Push(item, scores[c + l]);
       }
     }
+  }
+}
+
+void TopKSelector::Merge(const TopKSelector& other) {
+  WR_CHECK(&other != this);
+  WR_CHECK_GE(other.k_, k_);
+  for (const ScoredItem& candidate : other.heap_) {
+    Push(candidate.item, candidate.score);
   }
 }
 

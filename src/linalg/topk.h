@@ -62,13 +62,19 @@ class TopKSelector {
   // Considers a contiguous score tile: scores[c] belongs to item j0 + c,
   // skipping ids listed in `sorted_exclusions` (ascending; empty = none).
   // Selects exactly what Push over the non-excluded items would, but once
-  // the heap is full it first tests each kGateChunk-score chunk against the
-  // root's score with a branch-free >= that vectorizes. A chunk with no
-  // score >= the root cannot contain a winner (the root only rises), so
-  // almost every chunk of a large catalog costs one vector compare; only
-  // survivors pay the exact RanksBefore test, then the exclusion lookup.
+  // the heap is full it gates on the root's score, which only rises, so a
+  // score below it cannot win. One vectorized scan first asks whether any
+  // score in the rest of the tile is >= the root's (NaN never is); almost
+  // every tile of a large catalog ends there. A tile that passes is tested
+  // again per kGateChunk-score chunk, and only surviving chunks pay the
+  // exact RanksBefore test, then the exclusion lookup.
   void PushTile(const double* scores, std::size_t j0, std::size_t jn,
                 std::span<const std::size_t> sorted_exclusions = {});
+
+  // Folds in the candidates `other` kept (other.k() >= k()). Because the
+  // selected set is independent of feed order, selectors fed disjoint item
+  // ranges and merged hold exactly what one selector fed every range would.
+  void Merge(const TopKSelector& other);
 
   // The selected items in ranking order (score desc, item id asc).
   std::vector<ScoredItem> SortedDescending() const;

@@ -100,6 +100,7 @@ enum ThreadWorkspaceSlot : std::size_t {
   kWsLossRowMax = 2,    // streaming CE: per-row running max (calling thread)
   kWsLossRowSum = 3,    // streaming CE: per-row scaled exp sum
   kWsLossRowTarget = 4, // streaming CE: per-row target logit
+  kWsStreamPackA = 5,   // packed score stream: whole packed A (calling thread)
   kWsLossProbs = 0,     // softmax probabilities (Mat slots, distinct space)
   kWsStreamBTile = 1,   // streaming scorer: current B (item) tile
   kWsStreamPanel = 2,   // streaming scorer: current score panel

@@ -579,10 +579,10 @@ Status RecommendService::Refit() {
 
   // Injected failure window (ChaosKind::kRefitFailure): the crash lands at
   // the worst moment — features swapped, table and index not yet rebuilt.
-  // Rollback restores the old features and re-derives table + index from
-  // them; Encode and the index build are deterministic pure functions of
-  // the feature table, so the restored state is bitwise the pre-refit
-  // state and cached sessions stay valid.
+  // Only the encoder's features changed: item_table_ and every scorer still
+  // hold the pre-refit state, so restoring the old features is the whole
+  // rollback. The restored state is bitwise the pre-refit state, no index
+  // is rebuilt, and cached sessions stay valid.
   if (ChaosInjector::Global().Next({ChaosKind::kRefitFailure}) ==
       ChaosKind::kRefitFailure) {
     // RestoreFeatures (not ReplaceFeatures): the catalog must shrink back to
@@ -590,8 +590,6 @@ Status RecommendService::Refit() {
     // swap never became visible to a request.
     Status restored = encoder->RestoreFeatures(std::move(old_features));
     WR_CHECK(restored.ok());
-    item_table_ = encoder->Encode();
-    RebuildScorers();
     ++stats_.rollbacks;
     ++stats_.refit_failures;
     return RollbackPending(Status::Unavailable(

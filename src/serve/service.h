@@ -129,7 +129,8 @@ struct ServeStats {
   std::size_t evictions = 0;    // session states dropped by the LRU cap
   std::size_t ingested = 0;     // items accepted by IngestItem
   std::size_t refits = 0;       // whitening refits + item-table rebuilds
-  std::size_t index_rebuilds = 0;  // scorer Rebuild calls (construction+refit)
+  std::size_t index_rebuilds = 0;  // scorer Rebuild calls (construction +
+                                   // committed refits; never a rollback)
   std::size_t queue_sheds = 0;     // shed by the bounded admission queue
   std::size_t deadline_sheds = 0;  // dropped overdue before service
   std::size_t quarantined = 0;     // ingest features rejected into quarantine

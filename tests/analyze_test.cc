@@ -561,6 +561,26 @@ TEST(HotAllocTest, PackedStreamLambdaIsHot) {
   EXPECT_NE(f[0].message.find("StreamPackedMatMulTransB"), std::string::npos);
 }
 
+TEST(HotAllocTest, PackedRangeStreamLambdaIsHot) {
+  // The exact scorer's column split streams one item range per worker; the
+  // range entry fires its ScoreRowsFn once per score tile, like the full
+  // stream.
+  const SourceTree tree = TreeOf(
+      {{"src/linalg/k.cc",
+        "void F(const PackedItemTable& p) {\n"
+        "  StreamPackedMatMulTransBRange(a, p, 0, 64, 256,\n"
+        "      [&](std::size_t r0, std::size_t r1, std::size_t j0,\n"
+        "          std::size_t jn, const Matrix& panel) {\n"
+        "    Matrix scratch(r1 - r0, jn);\n"
+        "    (void)scratch;\n"
+        "  });\n"
+        "}\n"}});
+  const std::vector<Finding> f = CheckHotAlloc(tree);
+  ASSERT_EQ(f.size(), 1u);
+  EXPECT_NE(f[0].message.find("StreamPackedMatMulTransBRange"),
+            std::string::npos);
+}
+
 TEST(HotAllocTest, NestedTemplateVectorFires) {
   // std::vector<std::vector<int>> closes with a '>>' shift token; the angle
   // matcher must still find the declared identifier after it.

@@ -7,6 +7,7 @@
 // based. Also checks that the thread-local packing workspace carries no
 // state between calls.
 
+#include <cmath>
 #include <cstdlib>
 #include <limits>
 #include <vector>
@@ -193,6 +194,52 @@ TEST(GemmEquivalenceTest, AccVariantsMatchNaiveBitwise) {
   }
 }
 
+// Every (m, n) register-tile edge — 1 to 3 valid rows of the 4-row tile,
+// 1 to 7 valid columns of the 8-column strip, and whole tiles — at one
+// k-panel (k = 1, 31) and two (k = 257 > kKc). The public entry points send
+// products below the blocked kernel's minimum work to the naive loops, so
+// the packed stream, which always runs the blocked kernel, covers the small
+// shapes too.
+TEST(GemmEquivalenceTest, SmallEdgeTilesMatchNaiveBitwise) {
+  for (const std::size_t k : {1u, 31u, 257u}) {
+    for (std::size_t m = 1; m <= 5; ++m) {
+      for (std::size_t n = 1; n <= 17; ++n) {
+        SCOPED_TRACE(::testing::Message()
+                     << "m=" << m << " k=" << k << " n=" << n);
+        for (Op op : {Op::kMatMul, Op::kTransB}) {
+          const Shape s{m, k, n};
+          Matrix a, b;
+          MakeOperands(op, s, &a, &b);
+          Matrix ref;
+          {
+            ScopedGemmKind naive(GemmKind::kNaive);
+            RunInto(op, a, b, &ref);
+          }
+          ScopedGemmKind blocked(GemmKind::kBlocked);
+          Matrix c;
+          RunInto(op, a, b, &c);
+          ExpectBitwiseEqual(ref, c, OpName(op));
+          if (op != Op::kTransB) continue;
+          PackedItemTable packed;
+          packed.Pack(b);
+          Matrix streamed(m, n);
+          StreamPackedMatMulTransBTiles(
+              a, packed, 8,
+              [&](std::size_t i0, std::size_t i1, std::size_t j0,
+                  std::size_t jn, const Matrix& panel) {
+                for (std::size_t i = i0; i < i1; ++i) {
+                  for (std::size_t col = 0; col < jn; ++col) {
+                    streamed(i, j0 + col) = panel(i, col);
+                  }
+                }
+              });
+          ExpectBitwiseEqual(ref, streamed, "packed stream");
+        }
+      }
+    }
+  }
+}
+
 TEST(GemmEquivalenceTest, MatVecMatchesMatMulColumn) {
   Rng rng(11);
   const Matrix a = rng.GaussianMatrix(37, 53, 1.0);
@@ -361,6 +408,115 @@ TEST(StreamingGemmTest, PackedStreamMatchesMatMulTransBBitwise) {
           ExpectBitwiseEqual(ref, assembled, "packed stream");
           for (std::size_t i = 0; i < delivered.size(); ++i) {
             ASSERT_EQ(delivered[i], 1) << "cell " << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+// Reassembles a packed stream (or one of its column ranges) into an
+// (a.rows() x items) matrix; cells outside the range stay NaN.
+Matrix StreamPacked(const Matrix& a, const PackedItemTable& packed,
+                    std::size_t j_begin, std::size_t j_end,
+                    std::size_t tile) {
+  Matrix out(a.rows(), packed.rows(),
+             std::numeric_limits<double>::quiet_NaN());
+  StreamPackedMatMulTransBRange(
+      a, packed, j_begin, j_end, tile,
+      [&](std::size_t i0, std::size_t i1, std::size_t j0, std::size_t jn,
+          const Matrix& panel) {
+        for (std::size_t i = i0; i < i1; ++i) {
+          for (std::size_t c = 0; c < jn; ++c) out(i, j0 + c) = panel(i, c);
+        }
+      });
+  return out;
+}
+
+// Fills the calling thread's stream panel with NaN, so a stream that read a
+// panel value before writing it would show.
+void PoisonStreamPanel() {
+  Matrix& panel = ThreadLocalWorkspace().MatRef(kWsStreamPanel);
+  panel.Reshape(128, 512);
+  panel.Fill(std::numeric_limits<double>::quiet_NaN());
+}
+
+// The packed stream overwrites its panel instead of zero-filling it: a
+// small stream right after a larger one, and after a NaN-poisoned panel,
+// must still be the materialized product bit for bit.
+TEST(StreamingGemmTest, PackedStreamOverwritesStalePanel) {
+  ScopedThreads one(1);
+  const Matrix big_b = Operand(203, 300, 11);
+  PackedItemTable big;
+  big.Pack(big_b);
+  const Matrix big_a = Operand(65, 300, 12);
+  Matrix big_ref;
+  MatMulTransBInto(big_a, big_b, &big_ref);
+  ExpectBitwiseEqual(big_ref, StreamPacked(big_a, big, 0, 203, 256),
+                     "large stream");
+
+  const Matrix small_b = Operand(13, 9, 13);
+  PackedItemTable small;
+  small.Pack(small_b);
+  const Matrix small_a = Operand(3, 9, 14);
+  Matrix small_ref;
+  MatMulTransBInto(small_a, small_b, &small_ref);
+  ExpectBitwiseEqual(small_ref, StreamPacked(small_a, small, 0, 13, 256),
+                     "small stream after a large one");
+  PoisonStreamPanel();
+  ExpectBitwiseEqual(small_ref, StreamPacked(small_a, small, 0, 13, 8),
+                     "small stream over a poisoned panel");
+}
+
+// d = 0: every score is an empty sum, +0.0, even over a stale panel.
+TEST(StreamingGemmTest, PackedStreamZeroDepthGivesZeros) {
+  const Matrix items(21, 0);
+  PackedItemTable packed;
+  packed.Pack(items);
+  const Matrix users(5, 0);
+  for (const std::size_t threads : {1u, 4u}) {
+    ScopedThreads t(threads);
+    PoisonStreamPanel();
+    const Matrix got = StreamPacked(users, packed, 0, 21, 8);
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got.data()[i], 0.0) << "flat index " << i;
+      ASSERT_FALSE(std::signbit(got.data()[i])) << "flat index " << i;
+    }
+  }
+}
+
+// A column range of the stream is those columns of the full stream, bit for
+// bit: strip-aligned starts, ends on a strip boundary, mid-strip, or at the
+// table's ragged last strip, and the empty range. Cells outside the range
+// are never delivered.
+TEST(StreamingGemmTest, PackedRangeMatchesFullStreamColumns) {
+  const std::size_t n = 203;
+  for (const std::size_t d : {32u, 300u}) {
+    const Matrix b = Operand(n, d, 15);
+    PackedItemTable packed;
+    packed.Pack(b);
+    for (const std::size_t m : {1u, 4u, 65u}) {
+      const Matrix a = Operand(m, d, 16);
+      const Matrix full = StreamPacked(a, packed, 0, n, 256);
+      const std::size_t ranges[][2] = {{0, 8},    {8, 64},   {64, 67},
+                                       {96, 203}, {200, 203}, {0, 203},
+                                       {40, 40},  {16, 131}};
+      for (const auto& range : ranges) {
+        for (const std::size_t tile : {1u, 16u, 1000u}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "m=" << m << " d=" << d << " range=[" << range[0]
+                       << ", " << range[1] << ") tile=" << tile);
+          const Matrix got = StreamPacked(a, packed, range[0], range[1], tile);
+          for (std::size_t i = 0; i < m; ++i) {
+            for (std::size_t j = 0; j < n; ++j) {
+              if (j >= range[0] && j < range[1]) {
+                ASSERT_EQ(got(i, j), full(i, j)) << "(" << i << ", " << j
+                                                 << ")";
+              } else {
+                ASSERT_TRUE(std::isnan(got(i, j)))
+                    << "(" << i << ", " << j << ") outside the range";
+              }
+            }
           }
         }
       }

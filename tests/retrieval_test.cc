@@ -517,6 +517,52 @@ TEST(Scorer, PackedExactMatchesNaiveExactBitwise) {
   linalg::SetScoreTileCols(saved_tile);
 }
 
+// A batch of at most one row block (64 rows) on more than one thread is
+// scored as column ranges of whole 8-item strips, one per thread while each
+// range keeps 2^17 multiply-adds, each into its own selectors, merged in
+// range order. Lists must be bitwise the naive reference stream's at 1-4
+// threads: rows on both sides of the one-block cut, and rows whose every
+// item is excluded. At d = 512 the 1237-item catalog splits at every row
+// count, and 64 rows split the 20-item catalog (3 strips) into up to 5
+// ranges, so at 4 threads one range is empty and K exceeds every range.
+TEST(Scorer, ColumnSplitMatchesNaiveStreamBitwise) {
+  const std::size_t saved_threads = core::NumThreads();
+  const std::size_t d = 512;
+  for (const std::size_t n : {20u, 1237u}) {
+    const Matrix items = RandomPoints(n, d, 83);
+    for (const std::size_t rows : {1u, 8u, 64u, 65u}) {
+      const Matrix users = RandomPoints(rows, d, 84);
+      std::vector<std::vector<std::size_t>> exclusions(rows);
+      for (std::size_t r = 0; r < rows; ++r) {
+        if (r % 7 == 3) {
+          for (std::size_t j = 0; j < n; ++j) exclusions[r].push_back(j);
+          continue;
+        }
+        for (std::size_t j = r % 5; j < n; j += 11 + r) {
+          exclusions[r].push_back(j);
+        }
+      }
+      std::vector<std::vector<ScoredItem>> naive;
+      {
+        ScopedGemmKind kind(linalg::GemmKind::kNaive);
+        core::SetNumThreads(1);
+        std::unique_ptr<Scorer> scorer = linalg::MakeExactScorer();
+        scorer->Rebuild(items);
+        naive = ScorerTopK(*scorer, users, exclusions, 10);
+      }
+      for (const std::size_t threads : {1u, 2u, 3u, 4u}) {
+        SCOPED_TRACE(::testing::Message() << "n=" << n << " rows=" << rows
+                                          << " threads=" << threads);
+        core::SetNumThreads(threads);
+        std::unique_ptr<Scorer> scorer = linalg::MakeExactScorer();
+        scorer->Rebuild(items);
+        ExpectSameLists(ScorerTopK(*scorer, users, exclusions, 10), naive);
+      }
+    }
+  }
+  core::SetNumThreads(saved_threads);
+}
+
 // ---------------------------------------------------------------------------
 // Serving through the IVF scorer: reproducibility + ingest rebuilds.
 // ---------------------------------------------------------------------------

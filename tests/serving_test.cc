@@ -1395,6 +1395,47 @@ TEST(Ingest, ChaosRefitFailureRollsBackToLastGoodStateBitwise) {
   EXPECT_EQ(service.num_items(), items_before + config.refit_every);
 }
 
+TEST(Ingest, ChaosRollbackRebuildsNoIndex) {
+  // The interrupted swap only ever replaced the encoder's features: the item
+  // table and every scorer still hold the pre-refit state, so the rollback
+  // restores the features and rebuilds nothing. index_rebuilds stays at the
+  // construction-time build, and responses are bitwise a control's that
+  // never ingested.
+  const Matrix& raw = Fixture().data.dataset.text_embeddings;
+  auto rec = FreshModel();
+  ServeConfig config;
+  config.refit_every = 2;
+  RecommendService service(rec->model(), config);
+  ASSERT_TRUE(
+      service.EnableIngest(raw, WhiteningKind::kZca, /*epsilon=*/1e-5).ok());
+  const std::size_t rebuilds_before = service.stats().index_rebuilds;
+  EXPECT_EQ(rebuilds_before, 1u);
+  {
+    ScopedChaosConfig chaos(/*seed=*/3, /*rate=*/1.0);
+    for (std::size_t round = 0; round < 2; ++round) {
+      Status status = Status::OK();
+      for (std::size_t i = 0; i < config.refit_every; ++i) {
+        status = service.IngestItem(raw.Row(round * config.refit_every + i));
+      }
+      ASSERT_EQ(status.code(), StatusCode::kUnavailable) << "round " << round;
+    }
+  }
+  EXPECT_EQ(service.stats().rollbacks, 2u);
+  EXPECT_EQ(service.stats().index_rebuilds, rebuilds_before);
+
+  auto rec_control = FreshModel();
+  RecommendService control(rec_control->model(), ServeConfig());
+  const std::size_t items = service.num_items();
+  for (std::uint64_t session : {std::uint64_t{4}, std::uint64_t{5}}) {
+    for (std::size_t step = 0; step < 3; ++step) {
+      const ServeRequest probe{session, (3 * session + step) % items};
+      ASSERT_TRUE(
+          SameResponses({service.Handle(probe)}, {control.Handle(probe)}))
+          << "session=" << session << " step=" << step;
+    }
+  }
+}
+
 // One ingest trace through a refused refit, a chaos-interrupted refit and a
 // committed one, with requests served between the phases.
 struct IngestTraceRun {

@@ -201,6 +201,35 @@ void ExpectSameBits(const std::vector<ScoredItem>& got,
   }
 }
 
+// The exact scorer's column split: the catalog cut into `ranges` contiguous
+// runs (some empty when ranges > n), each fed through its own selector in
+// 8-score tiles, then merged into run 0's selector — in run order, as the
+// scorer does, and in reverse. Either way the result must be `want`, the
+// selection of one selector fed every item.
+void CheckSplitMerge(const std::vector<double>& scores,
+                     const std::vector<std::size_t>& excl, std::size_t k,
+                     const std::vector<ScoredItem>& want) {
+  const std::size_t n = scores.size();
+  for (const std::size_t ranges : {2u, 3u, 5u, 16u}) {
+    SCOPED_TRACE(::testing::Message() << "k=" << k << " ranges=" << ranges
+                                      << " excluded=" << excl.size());
+    std::vector<TopKSelector> runs(ranges, TopKSelector(k));
+    for (std::size_t r = 0; r < ranges; ++r) {
+      const std::size_t end = n * (r + 1) / ranges;
+      for (std::size_t j0 = n * r / ranges; j0 < end; j0 += 8) {
+        const std::size_t jn = std::min<std::size_t>(8, end - j0);
+        runs[r].PushTile(scores.data() + j0, j0, jn, excl);
+      }
+    }
+    TopKSelector forward = runs[0];
+    for (std::size_t r = 1; r < ranges; ++r) forward.Merge(runs[r]);
+    ExpectSameBits(forward.SortedDescending(), want);
+    TopKSelector backward = runs[ranges - 1];
+    for (std::size_t r = ranges - 1; r-- > 0;) backward.Merge(runs[r]);
+    ExpectSameBits(backward.SortedDescending(), want);
+  }
+}
+
 // Feeds `scores` minus the sorted `excl` ids through the gated PushTile at
 // several tile widths (multiples of the 8-score gate chunk and not) and
 // checks each selection against per-item Push and against SelectTopK over
@@ -221,6 +250,8 @@ void CheckGatedTiles(const std::vector<double>& scores,
   std::vector<ScoredItem> by_sort = SelectTopK(kept.data(), kept.size(), k);
   for (ScoredItem& s : by_sort) s.item = kept_ids[s.item];
   ExpectSameBits(by_sort, want);
+
+  CheckSplitMerge(scores, excl, k, want);
 
   TopKSelector sel(k);
   for (const std::size_t tile : {1u, 5u, 8u, 9u, 16u, 61u, 256u, 4096u}) {
@@ -326,6 +357,40 @@ TEST(GatedPushTileTest, KAtLeastCatalogAndAllExcludedRows) {
   CheckGatedTiles(scores, all, 4);
   // Exclusions outside the tile never match.
   CheckGatedTiles(scores, {100, 200}, 4);
+}
+
+TEST(GatedPushTileTest, TileMaxEqualToRootReachesIdTieBreak) {
+  // Items 8..15 fill a k = 2 heap whose root is item 9 at 1.0. The next
+  // tile's best score is exactly 1.0 (item 4): the one-scan gate must let it
+  // through, and the smaller id must then win the tie.
+  TopKSelector sel(2);
+  const std::vector<double> late = {3.0, 1.0, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5};
+  sel.PushTile(late.data(), 8, late.size());
+  const std::vector<double> early = {0.25, -1.0, 0.75, 0.0,
+                                     1.0,  0.5,  -0.5, 0.125};
+  sel.PushTile(early.data(), 0, early.size());
+  const std::vector<ScoredItem> got = sel.SortedDescending();
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0].item, 8u);
+  EXPECT_EQ(got[1].item, 4u);
+  EXPECT_EQ(got[1].score, 1.0);
+  // The same tile with item 4 excluded holds no winner.
+  TopKSelector excluded(2);
+  excluded.PushTile(late.data(), 8, late.size());
+  excluded.PushTile(early.data(), 0, early.size(), std::vector<std::size_t>{4});
+  EXPECT_EQ(excluded.SortedDescending()[1].item, 9u);
+}
+
+TEST(TopKMergeTest, MergesIntoEmptyAndFromEmpty) {
+  TopKSelector filled(3);
+  filled.Push(7, 2.0);
+  filled.Push(2, 2.0);
+  TopKSelector empty(3);
+  empty.Merge(filled);
+  ExpectSameBits(empty.SortedDescending(), filled.SortedDescending());
+  const std::vector<ScoredItem> before = filled.SortedDescending();
+  filled.Merge(TopKSelector(5));
+  ExpectSameBits(filled.SortedDescending(), before);
 }
 
 // ---------------------------------------------------------------------------

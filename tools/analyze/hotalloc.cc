@@ -32,7 +32,7 @@ const std::set<std::string>& HotCallees() {
       "StreamMatMulTransB",    "StreamMatMulTransBTiles",
       "StreamMatMulTransBPanels", "StreamQuantMatMulTransB",
       "StreamQuantMatMulTransBTiles", "StreamPackedMatMulTransB",
-      "StreamPackedMatMulTransBTiles"};
+      "StreamPackedMatMulTransBTiles", "StreamPackedMatMulTransBRange"};
   return kCallees;
 }
 
