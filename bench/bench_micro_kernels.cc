@@ -2,7 +2,8 @@
 // the paper's complexity analysis (Sec. IV-E): dense matmul (naive vs the
 // blocked kernels of linalg/gemm.cc), symmetric eigendecomposition,
 // whitening fits of each kind, group whitening, flow whitening, one
-// SASRec training step, and one online item ingest. These quantify the claim that the whitening
+// SASRec training step, one online item ingest, and the serving forward
+// (stacked segments vs one step per row). These quantify the claim that the whitening
 // transforms are cheap, precomputable preprocessing. Besides the console
 // table, results are written to <out>/BENCH_kernels.json (GFLOP/s, thread
 // count and kernel variant per run) for machine consumption.
@@ -10,6 +11,7 @@
 #include <algorithm>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -262,6 +264,102 @@ void BM_IngestItem(benchmark::State& state) {
 BENCHMARK(BM_IngestItem)
     ->Arg(16384)
     ->Arg(131072)
+    ->Unit(benchmark::kMicrosecond);
+
+// The serving transformer forward for 64 sessions of `rows` rows each, at
+// the serving model shape (d = 32, 2 blocks, 2 heads, FFN 64, max_len 12).
+// rows = 1 is the incremental step (position 6 after a cached 6-row
+// prefix); 6 and 12 are whole-window replays, as after a refit. Mode 0 is
+// the step loop: one EncodeSequenceStep per row, sessions spread over a
+// ParallelFor. Mode 1 is the stacked forward the service runs: sessions cut
+// into one row-balanced group per thread (core::SplitByWeight), each group
+// one EncodeSegments call. Both give bitwise the same rows (serving_test's
+// StackedForward suite). items/s counts encoded rows.
+void BM_ServeForward(benchmark::State& state) {
+  const std::size_t rows = static_cast<std::size_t>(state.range(0));
+  const std::size_t threads = static_cast<std::size_t>(state.range(1));
+  const bool stacked = state.range(2) != 0;
+  constexpr std::size_t kSessions = 64;
+  constexpr std::size_t kPrefix = 6;  // cached positions before a 1-row step
+  const std::size_t saved = core::NumThreads();
+  core::SetNumThreads(threads);
+  data::ItemFeatureConfig features;
+  features.num_items = 2048;
+  features.embed_dim = 64;
+  data::Dataset dataset;
+  dataset.num_items = features.num_items;
+  dataset.text_embeddings = data::GenerateItemFeatures(features);
+  seqrec::SasRecConfig mc;
+  mc.hidden_dim = 32;
+  mc.max_len = 12;
+  const auto rec = seqrec::MakeWhitenRec(dataset, mc, WhitenRecConfig());
+  const seqrec::SasRecModel& model = *rec->model();
+  const linalg::Matrix v = rec->model()->EncodeItems(/*train=*/false);
+
+  // Session s owns items[s * 12, s * 12 + 12); its segment is positions
+  // [start, start + rows).
+  const std::size_t start = rows == 1 ? kPrefix : 0;
+  linalg::Rng rng(12);
+  std::vector<std::size_t> windows(kSessions * mc.max_len);
+  for (std::size_t& item : windows) item = rng.UniformInt(v.rows());
+  std::vector<seqrec::SasRecModel::SessionStepState> states(kSessions);
+  linalg::Matrix h_row;
+  for (std::size_t s = 0; s < kSessions; ++s) {
+    for (std::size_t t = 0; t < start; ++t) {
+      model.EncodeSequenceStep(v, windows[s * mc.max_len + t], &states[s],
+                               &h_row);
+    }
+  }
+  std::vector<nn::KvSegment> segments(kSessions);
+  std::vector<std::size_t> items;
+  for (std::size_t s = 0; s < kSessions; ++s) {
+    segments[s] = nn::KvSegment{&states[s].cache, start, rows};
+    items.insert(items.end(),
+                 windows.begin() +
+                     static_cast<std::ptrdiff_t>(s * mc.max_len + start),
+                 windows.begin() +
+                     static_cast<std::ptrdiff_t>(s * mc.max_len + start + rows));
+  }
+  const std::vector<std::size_t> groups = core::SplitByWeight(
+      std::vector<std::size_t>(kSessions, rows), core::NumThreads());
+  std::vector<linalg::Matrix> answers(groups.size() - 1);
+  const std::span<const nn::KvSegment> all_segments(segments);
+  const std::span<const std::size_t> all_items(items);
+
+  for (auto _ : state) {
+    if (stacked) {
+      core::ParallelFor(0, groups.size() - 1, 1, [&](std::size_t g0,
+                                                     std::size_t g1) {
+        for (std::size_t g = g0; g < g1; ++g) {
+          const std::size_t n = groups[g + 1] - groups[g];
+          model.EncodeSegments(v, all_items.subspan(groups[g] * rows, n * rows),
+                               all_segments.subspan(groups[g], n), &answers[g]);
+        }
+      });
+      benchmark::DoNotOptimize(answers.data());
+    } else {
+      core::ParallelFor(0, kSessions, 1, [&](std::size_t s0, std::size_t s1) {
+        linalg::Matrix row;
+        for (std::size_t s = s0; s < s1; ++s) {
+          for (nn::AttentionKvCache& kv : states[s].cache.blocks) kv.len = start;
+          for (std::size_t t = start; t < start + rows; ++t) {
+            model.EncodeSequenceStep(v, windows[s * mc.max_len + t], &states[s],
+                                     &row);
+          }
+          benchmark::DoNotOptimize(row.data());
+        }
+      });
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kSessions * rows));
+  state.SetLabel(std::string(stacked ? "stacked" : "step loop") + ", " +
+                 std::to_string(threads) + " thread(s)");
+  core::SetNumThreads(saved);
+}
+BENCHMARK(BM_ServeForward)
+    ->ArgNames({"rows", "threads", "stacked"})
+    ->ArgsProduct({{1, 6, 12}, {1, 2}, {0, 1}})
     ->Unit(benchmark::kMicrosecond);
 
 void BM_SymmetricEigen(benchmark::State& state) {

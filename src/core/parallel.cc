@@ -16,6 +16,25 @@ namespace {
 // to run nested parallel sections inline instead of re-entering the pool.
 thread_local bool t_in_worker = false;
 
+// Set on a ParallelFor's calling thread while it drains that launch's
+// chunks. A ParallelFor issued from one of those chunks runs inline, as it
+// does on a worker: the workers are busy with the outer launch, so handing
+// them helpers would only block the caller until they finish their own
+// outer chunks.
+thread_local bool t_in_section = false;
+
+// Marks the calling thread as inside a parallel section for its lifetime.
+class SectionScope {
+ public:
+  SectionScope() : saved_(t_in_section) { t_in_section = true; }
+  ~SectionScope() { t_in_section = saved_; }
+  SectionScope(const SectionScope&) = delete;
+  SectionScope& operator=(const SectionScope&) = delete;
+
+ private:
+  bool saved_;
+};
+
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t num_workers) {
@@ -54,6 +73,8 @@ void ThreadPool::Wait() {
 }
 
 bool ThreadPool::InWorkerThread() { return t_in_worker; }
+
+bool InParallelSection() { return t_in_worker || t_in_section; }
 
 void ThreadPool::WorkerLoop() {
   t_in_worker = true;
@@ -179,7 +200,7 @@ std::size_t NumThreads() {
 }
 
 void SetNumThreads(std::size_t n) {
-  WR_CHECK_MSG(!ThreadPool::InWorkerThread(),
+  WR_CHECK_MSG(!InParallelSection(),
                "SetNumThreads inside a parallel section");
   GlobalPool& g = Global();
   std::lock_guard<std::mutex> lock(g.mu);
@@ -195,9 +216,10 @@ void ParallelFor(std::size_t begin, std::size_t end, std::size_t grain,
   const std::size_t num_chunks = (n + grain - 1) / grain;
 
   // Serial fast paths: one chunk, configured serial, or already inside a
-  // worker (nested section). Chunk boundaries are irrelevant for ParallelFor
-  // correctness, so the whole range runs as one call.
-  if (num_chunks <= 1 || ThreadPool::InWorkerThread() || NumThreads() <= 1) {
+  // parallel section (a worker, or a caller draining its own launch).
+  // Chunk boundaries are irrelevant for ParallelFor correctness, so the
+  // whole range runs as one call.
+  if (num_chunks <= 1 || InParallelSection() || NumThreads() <= 1) {
     fn(begin, end);
     return;
   }
@@ -227,7 +249,10 @@ void ParallelFor(std::size_t begin, std::size_t end, std::size_t grain,
       launch->cv.notify_all();
     });
   }
-  launch->DrainChunks();
+  {
+    const SectionScope section;
+    launch->DrainChunks();
+  }
   {
     std::unique_lock<std::mutex> lock(launch->mu);
     launch->cv.wait(lock,
@@ -259,6 +284,31 @@ double ParallelReduceSum(
   double total = 0.0;
   for (double p : partials) total += p;
   return total;
+}
+
+std::vector<std::size_t> SplitByWeight(const std::vector<std::size_t>& weights,
+                                       std::size_t parts) {
+  const std::size_t n = weights.size();
+  parts = std::max<std::size_t>(1, std::min(parts, n));
+  std::size_t total = 0;
+  for (std::size_t w : weights) total += w;
+  std::vector<std::size_t> bounds(1, 0);
+  std::size_t i = 0;
+  std::size_t acc = 0;
+  for (std::size_t g = 1; g < parts; ++g) {
+    // Group g - 1 takes items while the item's midpoint stays at or below
+    // the g / parts share of the total, keeping at least one item for itself
+    // and one for each group after it.
+    while (i < n - (parts - g) &&
+           (i == bounds.back() ||
+            parts * (2 * acc + weights[i]) <= 2 * g * total)) {
+      acc += weights[i];
+      ++i;
+    }
+    bounds.push_back(i);
+  }
+  bounds.push_back(n);
+  return bounds;
 }
 
 }  // namespace core

@@ -26,9 +26,10 @@ namespace core {
 //    chunk and sums the partials in ascending chunk order on the calling
 //    thread. No atomics on doubles anywhere.
 //  * Nested calls degrade gracefully: a ParallelFor issued from inside a
-//    worker task runs inline on that worker (same chunk structure), so layers
-//    that compose parallel kernels (attention -> Linear -> MatMul) neither
-//    deadlock nor oversubscribe.
+//    chunk runs inline as one whole-range call, on a worker and on the
+//    calling thread alike, so layers that compose parallel kernels
+//    (attention -> Linear -> MatMul) neither deadlock, oversubscribe, nor
+//    wait on workers busy with the outer launch.
 
 // A fixed-size pool of worker threads consuming a FIFO task queue.
 // Exceptions escaping a task are captured; the first one observed is
@@ -68,6 +69,11 @@ class ThreadPool {
   std::exception_ptr first_error_;
 };
 
+// True inside a parallel section: on a pool worker, or on a ParallelFor's
+// calling thread while it runs that launch's chunks. A ParallelFor issued
+// here runs inline.
+bool InParallelSection();
+
 // --- Global thread configuration -------------------------------------------
 
 // Number of threads parallel kernels use (>= 1; 1 means serial). Initialized
@@ -97,6 +103,15 @@ void ParallelFor(std::size_t begin, std::size_t end, std::size_t grain,
 // left-to-right sweep when grain < range).
 double ParallelReduceSum(std::size_t begin, std::size_t end, std::size_t grain,
                          const std::function<double(std::size_t, std::size_t)>& fn);
+
+// Cuts the items [0, weights.size()) into at most `parts` contiguous,
+// non-empty groups of near-equal total weight (one empty group when there
+// are no items) and returns their bounds: group g is
+// [bounds[g], bounds[g + 1]). A pure function of its inputs.
+// Callers hand one group per pool thread to one ParallelFor when items
+// carry uneven work (the serving forward splits sessions by row count).
+std::vector<std::size_t> SplitByWeight(const std::vector<std::size_t>& weights,
+                                       std::size_t parts);
 
 // Picks a grain so each chunk carries at least `min_work` scalar operations
 // when one index costs `work_per_index`, keeping per-chunk overhead amortized.

@@ -101,10 +101,22 @@ enum ThreadWorkspaceSlot : std::size_t {
   kWsLossRowSum = 3,    // streaming CE: per-row scaled exp sum
   kWsLossRowTarget = 4, // streaming CE: per-row target logit
   kWsStreamPackA = 5,   // packed score stream: whole packed A (calling thread)
+  kWsSegProbs = 6,      // segment forward: one row's attention probabilities
   kWsLossProbs = 0,     // softmax probabilities (Mat slots, distinct space)
   kWsStreamBTile = 1,   // streaming scorer: current B (item) tile
   kWsStreamPanel = 2,   // streaming scorer: current score panel
   kWsLossDvTile = 3,    // streaming CE: per-tile dV accumulator
+  // Segment (stacked serving) forward, one [R x *] matrix each:
+  kWsSegInput = 4,      // embedded input rows (item + position)
+  kWsSegHidden = 5,     // residual stream through the blocks
+  kWsSegNorm = 6,       // LayerNorm output
+  kWsSegQ = 7,          // query projection
+  kWsSegK = 8,          // key projection
+  kWsSegV = 9,          // value projection
+  kWsSegMixed = 10,     // concatenated head outputs
+  kWsSegOut = 11,       // sublayer output (attention or FFN)
+  kWsSegFfn = 12,       // FFN hidden activations
+  kWsSegAnswers = 13,   // one answer row per segment (serving caller)
 };
 
 // Per-thread scratch arena. Worker threads and the calling thread each get

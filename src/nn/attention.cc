@@ -1,9 +1,11 @@
 #include "nn/attention.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/check.h"
 #include "core/parallel.h"
+#include "linalg/workspace.h"
 
 namespace whitenrec {
 namespace nn {
@@ -94,83 +96,86 @@ Matrix MultiHeadSelfAttention::Forward(const Matrix& x, std::size_t batch,
   return wo_.Forward(mixed);
 }
 
-void AttentionKvCache::Append(const Matrix& k_row, const Matrix& v_row) {
-  WR_CHECK_EQ(k_row.rows(), 1u);
-  WR_CHECK_EQ(v_row.rows(), 1u);
-  const std::size_t dim = k_row.cols();
-  if (len == k.rows()) {
-    const std::size_t cap = len == 0 ? 8 : 2 * len;
-    Matrix grown_k(cap, dim);
-    Matrix grown_v(cap, dim);
-    for (std::size_t r = 0; r < len; ++r) {
-      for (std::size_t c = 0; c < dim; ++c) {
-        grown_k(r, c) = k(r, c);
-        grown_v(r, c) = v(r, c);
-      }
-    }
-    k = std::move(grown_k);
-    v = std::move(grown_v);
-  }
-  for (std::size_t c = 0; c < dim; ++c) {
-    k(len, c) = k_row(0, c);
-    v(len, c) = v_row(0, c);
-  }
-  ++len;
+void AttentionKvCache::Reserve(std::size_t rows, std::size_t dim) {
+  if (k.rows() >= rows && k.cols() == dim) return;
+  WR_CHECK(len == 0 || k.cols() == dim);
+  const std::size_t cap = std::max({rows, 2 * k.rows(), std::size_t{8}});
+  Matrix grown_k(cap, dim);
+  Matrix grown_v(cap, dim);
+  std::copy(k.data(), k.data() + len * dim, grown_k.data());
+  std::copy(v.data(), v.data() + len * dim, grown_v.data());
+  k = std::move(grown_k);
+  v = std::move(grown_v);
 }
 
-void MultiHeadSelfAttention::ForwardStepInto(const Matrix& x_row,
-                                             AttentionKvCache* kv,
-                                             Matrix* y) const {
+void MultiHeadSelfAttention::ForwardSegmentsInto(
+    const Matrix& x, std::span<const KvSegment> segments, std::size_t block,
+    Matrix* y) const {
   WR_CHECK(causal_);
-  WR_CHECK(kv != nullptr);
-  WR_CHECK_EQ(x_row.rows(), 1u);
-  WR_CHECK_EQ(x_row.cols(), dim_);
-  WR_CHECK_FINITE(x_row);
+  WR_CHECK_EQ(x.cols(), dim_);
+  WR_CHECK_FINITE(x);
+  linalg::Workspace& ws = linalg::ThreadLocalWorkspace();
+  Matrix& q = ws.MatRef(linalg::kWsSegQ);
+  Matrix& k = ws.MatRef(linalg::kWsSegK);
+  Matrix& v = ws.MatRef(linalg::kWsSegV);
+  Matrix& mixed = ws.MatRef(linalg::kWsSegMixed);
+  // One GEMM per projection over every stacked row: each element keeps the
+  // canonical ascending-k chain, so a row's Q/K/V do not depend on which
+  // rows share the GEMM.
+  wq_.ForwardEvalInto(x, &q);
+  wk_.ForwardEvalInto(x, &k);
+  wv_.ForwardEvalInto(x, &v);
+  mixed.Reshape(x.rows(), dim_);
 
-  // Project the new position. A (1, dim) GEMM accumulates each element in
-  // the same canonical ascending-k order as the batched projection, so the
-  // appended K/V rows (and q) match the full forward bitwise.
-  Matrix q_row;
-  Matrix k_row;
-  Matrix v_row;
-  wq_.ForwardEvalInto(x_row, &q_row);
-  wk_.ForwardEvalInto(x_row, &k_row);
-  wv_.ForwardEvalInto(x_row, &v_row);
-  kv->Append(k_row, v_row);
-
-  const std::size_t i = kv->len - 1;  // position being appended
   const double scale = 1.0 / std::sqrt(static_cast<double>(head_dim_));
-  Matrix mixed(1, dim_);
-  // Row i of the causal attention, head by head — the same masked-score /
-  // softmax / value-mix loops as Forward, reading K/V from the cache.
-  std::vector<double> probs(i + 1, 0.0);
-  for (std::size_t h = 0; h < num_heads_; ++h) {
-    const std::size_t off = h * head_dim_;
-    const double* qi = q_row.RowPtr(0) + off;
-    double max_s = -1e300;
-    for (std::size_t j = 0; j <= i; ++j) {
-      const double* kj = kv->k.RowPtr(j) + off;
-      double s = 0.0;
-      for (std::size_t c = 0; c < head_dim_; ++c) s += qi[c] * kj[c];
-      s *= scale;
-      probs[j] = s;
-      if (s > max_s) max_s = s;
+  std::size_t row0 = 0;
+  for (const KvSegment& seg : segments) {
+    AttentionKvCache& kv = seg.kv->blocks[block];
+    WR_CHECK_LE(seg.start + seg.rows, kv.k.rows());
+    // The segment's K/V rows land in the cache in place; every row below
+    // then reads its keys and values from the cache alone.
+    std::copy(k.RowPtr(row0), k.RowPtr(row0) + seg.rows * dim_,
+              kv.k.RowPtr(seg.start));
+    std::copy(v.RowPtr(row0), v.RowPtr(row0) + seg.rows * dim_,
+              kv.v.RowPtr(seg.start));
+    kv.len = seg.start + seg.rows;
+    double* probs =
+        ws.Buf(linalg::kWsSegProbs, kv.len).data();
+    // Row i of the causal attention, head by head — the same masked-score /
+    // softmax / value-mix loops as Forward.
+    for (std::size_t r = 0; r < seg.rows; ++r) {
+      const std::size_t i = seg.start + r;
+      for (std::size_t h = 0; h < num_heads_; ++h) {
+        const std::size_t off = h * head_dim_;
+        const double* qi = q.RowPtr(row0 + r) + off;
+        double max_s = -1e300;
+        for (std::size_t j = 0; j <= i; ++j) {
+          const double* kj = kv.k.RowPtr(j) + off;
+          double s = 0.0;
+          for (std::size_t c = 0; c < head_dim_; ++c) s += qi[c] * kj[c];
+          s *= scale;
+          probs[j] = s;
+          if (s > max_s) max_s = s;
+        }
+        double sum = 0.0;
+        for (std::size_t j = 0; j <= i; ++j) {
+          probs[j] = std::exp(probs[j] - max_s);
+          sum += probs[j];
+        }
+        const double inv = 1.0 / sum;
+        for (std::size_t j = 0; j <= i; ++j) probs[j] *= inv;
+        double* out = mixed.RowPtr(row0 + r) + off;
+        for (std::size_t c = 0; c < head_dim_; ++c) out[c] = 0.0;
+        for (std::size_t j = 0; j <= i; ++j) {
+          const double pij = probs[j];
+          const double* vj = kv.v.RowPtr(j) + off;
+          for (std::size_t c = 0; c < head_dim_; ++c) out[c] += pij * vj[c];
+        }
+      }
     }
-    double sum = 0.0;
-    for (std::size_t j = 0; j <= i; ++j) {
-      probs[j] = std::exp(probs[j] - max_s);
-      sum += probs[j];
-    }
-    const double inv = 1.0 / sum;
-    for (std::size_t j = 0; j <= i; ++j) probs[j] *= inv;
-    double* out = mixed.RowPtr(0) + off;
-    for (std::size_t c = 0; c < head_dim_; ++c) out[c] = 0.0;
-    for (std::size_t j = 0; j <= i; ++j) {
-      const double pij = probs[j];
-      const double* vj = kv->v.RowPtr(j) + off;
-      for (std::size_t c = 0; c < head_dim_; ++c) out[c] += pij * vj[c];
-    }
+    row0 += seg.rows;
   }
+  WR_CHECK_EQ(row0, x.rows());
   WR_CHECK_FINITE(mixed);
   wo_.ForwardEvalInto(mixed, y);
 }

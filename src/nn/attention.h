@@ -1,6 +1,7 @@
 #ifndef WHITENREC_NN_ATTENTION_H_
 #define WHITENREC_NN_ATTENTION_H_
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -9,6 +10,51 @@
 namespace whitenrec {
 namespace nn {
 
+// Per-sequence key/value cache for the incremental eval forward. Holds the
+// projected K/V rows of every position seen so far; rows [0, len) of `k`/`v`
+// are valid, and the matrices' row count is the capacity. Because attention
+// is causal, appending positions never changes earlier K/V rows, so the
+// cache stays valid until the sequence window itself shifts (max_len
+// truncation) — at which point the owner replays the window from position 0.
+struct AttentionKvCache {
+  linalg::Matrix k;
+  linalg::Matrix v;
+  std::size_t len = 0;
+
+  void Clear() { len = 0; }
+  // Grows the capacity to at least `rows` positions of width `dim`
+  // (geometrically, keeping rows [0, len)); a no-op once it fits, so a
+  // session that is replayed again and again allocates only while its
+  // window first grows.
+  void Reserve(std::size_t rows, std::size_t dim);
+};
+
+// The incremental state of one sequence through a stack of attention
+// blocks: one K/V cache per block (index = block). len() is the number of
+// positions encoded so far.
+struct SequenceKvCache {
+  std::vector<AttentionKvCache> blocks;
+
+  std::size_t len() const { return blocks.empty() ? 0 : blocks[0].len; }
+  void Clear() {
+    for (AttentionKvCache& kv : blocks) kv.Clear();
+  }
+};
+
+// One sequence's run of rows in a stacked (segment) eval forward. Segments
+// are stacked in order: a segment's rows follow the previous segment's rows
+// in the [R x dim] activations. Its `rows` rows are positions
+// [start, start + rows) of the sequence whose cache is `kv`; positions
+// [0, start) are read from the cache, anything the cache held at or past
+// `start` is overwritten. start = 0 replays the window; start = kv->len()
+// with rows = 1 is the append-one-item step. The segments of one call
+// belong to distinct sequences.
+struct KvSegment {
+  SequenceKvCache* kv = nullptr;
+  std::size_t start = 0;
+  std::size_t rows = 0;
+};
+
 // Multi-head self-attention over a batch of equal-length sequences.
 // Input/output activations have shape (batch * seq_len, dim); sequence b
 // occupies rows [b * seq_len, (b + 1) * seq_len). With `causal` (the SASRec
@@ -16,22 +62,6 @@ namespace nn {
 // bidirectional (the BERT4Rec setting). Dropout is applied by the
 // surrounding Transformer block on the sublayer output, not on the attention
 // probabilities.
-// Per-sequence key/value cache for the incremental (append-one-position)
-// eval forward. Holds the projected K/V rows of every position seen so far;
-// rows [0, len) of `k`/`v` are valid, the matrices grow amortized. Because
-// attention is causal, appending a position never changes earlier K/V rows,
-// so the cache stays valid until the sequence window itself shifts (max_len
-// truncation) — at which point the owner discards it and replays the window.
-struct AttentionKvCache {
-  linalg::Matrix k;
-  linalg::Matrix v;
-  std::size_t len = 0;
-
-  void Clear() { len = 0; }
-  // Appends one row (copied from src row 0), growing capacity geometrically.
-  void Append(const linalg::Matrix& k_row, const linalg::Matrix& v_row);
-};
-
 class MultiHeadSelfAttention : public Layer {
  public:
   MultiHeadSelfAttention(std::size_t dim, std::size_t num_heads,
@@ -42,16 +72,21 @@ class MultiHeadSelfAttention : public Layer {
                          std::size_t seq_len);
   linalg::Matrix Backward(const linalg::Matrix& dy);
 
-  // Incremental eval forward for one sequence: x_row is the (1, dim) input
-  // of position kv->len; the K/V rows of positions [0, kv->len) are read
-  // from the cache, the new position's K/V rows are appended, and *y
-  // receives the (1, dim) attention output. Requires `causal`. The score /
+  // Segment eval forward of block `block` (see KvSegment): x is the stacked
+  // [R x dim] LayerNorm'd input, *y receives the [R x dim] attention output.
+  // Q/K/V and the output projection run as one GEMM each over all R rows;
+  // each segment's new K/V rows are written into its cache
+  // (kv->blocks[block], already reserved by the caller) and each row
+  // attends causally to its own sequence's positions [0, position]. No
+  // element depends on which segments share the call, and the score /
   // softmax / value-mix loops are source-identical to Forward's row loops
-  // (and this library builds with -ffp-contract=off), so *y is bitwise
-  // identical to row kv->len of Forward over the same full sequence. Const
-  // and cache-free: safe to run concurrently across sessions.
-  void ForwardStepInto(const linalg::Matrix& x_row, AttentionKvCache* kv,
-                       linalg::Matrix* y) const;
+  // (this library builds with -ffp-contract=off), so every row is bitwise
+  // the matching row of Forward over the whole sequence. Const; scratch
+  // comes from the calling thread's workspace, so distinct threads may run
+  // it concurrently over disjoint sequences. Requires `causal`.
+  void ForwardSegmentsInto(const linalg::Matrix& x,
+                           std::span<const KvSegment> segments,
+                           std::size_t block, linalg::Matrix* y) const;
 
   void CollectParameters(std::vector<Parameter*>* out) override;
 

@@ -170,34 +170,36 @@ Matrix LayerNorm::Forward(const Matrix& x) {
 }
 
 void LayerNorm::ForwardEvalInto(const Matrix& x, Matrix* y) const {
-  const std::size_t d = x.cols();
-  WR_CHECK_EQ(d, gamma_.value.cols());
+  WR_CHECK_EQ(x.cols(), dim());
   WR_CHECK_FINITE(x);
-  y->Resize(x.rows(), d);
-  const double* g = gamma_.value.RowPtr(0);
-  const double* b = beta_.value.RowPtr(0);
-  // Row loops mirror Forward exactly (same summation order, same
-  // normalize-then-affine expression) so each output row is bitwise
-  // identical to the training-path row; only the backward caches differ.
+  y->Reshape(x.rows(), x.cols());
   for (std::size_t r = 0; r < x.rows(); ++r) {
-    const double* row = x.RowPtr(r);
-    double mean = 0.0;
-    for (std::size_t c = 0; c < d; ++c) mean += row[c];
-    mean /= static_cast<double>(d);
-    double var = 0.0;
-    for (std::size_t c = 0; c < d; ++c) {
-      const double diff = row[c] - mean;
-      var += diff * diff;
-    }
-    var /= static_cast<double>(d);
-    const double inv_std = 1.0 / std::sqrt(var + eps_);
-    double* yrow = y->RowPtr(r);
-    for (std::size_t c = 0; c < d; ++c) {
-      const double xhat = (row[c] - mean) * inv_std;
-      yrow[c] = g[c] * xhat + b[c];
-    }
+    ForwardEvalRowInto(x.RowPtr(r), y->RowPtr(r));
   }
   WR_CHECK_FINITE(*y);
+}
+
+void LayerNorm::ForwardEvalRowInto(const double* row, double* yrow) const {
+  const std::size_t d = dim();
+  const double* g = gamma_.value.RowPtr(0);
+  const double* b = beta_.value.RowPtr(0);
+  // Mirrors Forward's row loop exactly (same summation order, same
+  // normalize-then-affine expression), so each output row is bitwise
+  // identical to the training-path row; only the backward caches differ.
+  double mean = 0.0;
+  for (std::size_t c = 0; c < d; ++c) mean += row[c];
+  mean /= static_cast<double>(d);
+  double var = 0.0;
+  for (std::size_t c = 0; c < d; ++c) {
+    const double diff = row[c] - mean;
+    var += diff * diff;
+  }
+  var /= static_cast<double>(d);
+  const double inv_std = 1.0 / std::sqrt(var + eps_);
+  for (std::size_t c = 0; c < d; ++c) {
+    const double xhat = (row[c] - mean) * inv_std;
+    yrow[c] = g[c] * xhat + b[c];
+  }
 }
 
 Matrix LayerNorm::Backward(const Matrix& dy) {

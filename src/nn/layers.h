@@ -120,7 +120,11 @@ class LayerNorm : public Layer {
   // Forward (same per-row mean/var/normalize loops). Safe to call
   // concurrently; used by the incremental serving forward.
   void ForwardEvalInto(const linalg::Matrix& x, linalg::Matrix* y) const;
+  // The same for one row of dim() values: y = LN(x), bitwise the matching
+  // row of ForwardEvalInto. x and y must not overlap.
+  void ForwardEvalRowInto(const double* x, double* y) const;
 
+  std::size_t dim() const { return gamma_.value.cols(); }
   Parameter& gamma() { return gamma_; }
   Parameter& beta() { return beta_; }
 

@@ -1,5 +1,7 @@
 #include "nn/transformer.h"
 
+#include "linalg/workspace.h"
+
 namespace whitenrec {
 namespace nn {
 
@@ -19,7 +21,7 @@ Matrix FeedForward::Backward(const Matrix& dy) {
 }
 
 void FeedForward::ForwardEvalInto(const Matrix& x, Matrix* y) const {
-  Matrix hidden;
+  Matrix& hidden = linalg::ThreadLocalWorkspace().MatRef(linalg::kWsSegFfn);
   fc1_.ForwardEvalInto(x, &hidden);
   ReluInPlace(&hidden);
   fc2_.ForwardEvalInto(hidden, y);
@@ -50,21 +52,20 @@ Matrix TransformerBlock::Forward(const Matrix& x, std::size_t batch,
   return y;
 }
 
-void TransformerBlock::ForwardStepInto(const Matrix& x_row,
-                                       AttentionKvCache* kv, Matrix* y) const {
+void TransformerBlock::ForwardSegmentsInPlace(
+    Matrix* h, std::span<const KvSegment> segments, std::size_t block) const {
   // h = x + Attn(LN1(x)); y = h + FFN(LN2(h)) — dropout is identity in eval
-  // mode, so the residual adds below are exactly Forward(train=false)'s.
-  Matrix ln;
-  ln1_.ForwardEvalInto(x_row, &ln);
-  Matrix attn_out;
-  attn_.ForwardStepInto(ln, kv, &attn_out);
-  Matrix h = x_row;
-  h += attn_out;
-  ln2_.ForwardEvalInto(h, &ln);
-  Matrix ffn_out;
-  ffn_.ForwardEvalInto(ln, &ffn_out);
-  *y = std::move(h);
-  *y += ffn_out;
+  // mode, and h[c] + out[c] is x[c] + out[c], so the residual adds are
+  // exactly Forward(train=false)'s.
+  linalg::Workspace& ws = linalg::ThreadLocalWorkspace();
+  Matrix& ln = ws.MatRef(linalg::kWsSegNorm);
+  Matrix& out = ws.MatRef(linalg::kWsSegOut);
+  ln1_.ForwardEvalInto(*h, &ln);
+  attn_.ForwardSegmentsInto(ln, segments, block, &out);
+  *h += out;
+  ln2_.ForwardEvalInto(*h, &ln);
+  ffn_.ForwardEvalInto(ln, &out);
+  *h += out;
 }
 
 Matrix TransformerBlock::Backward(const Matrix& dy) {
@@ -106,19 +107,42 @@ Matrix TransformerEncoder::Forward(const Matrix& x, std::size_t batch,
   return final_ln_.Forward(h);
 }
 
-void TransformerEncoder::ForwardStepInto(const Matrix& x_row,
-                                         StepCache* cache, Matrix* y) const {
-  WR_CHECK(cache != nullptr);
-  if (cache->blocks.size() != blocks_.size()) {
-    cache->blocks.assign(blocks_.size(), AttentionKvCache());
+void TransformerEncoder::ForwardSegmentsInto(
+    const Matrix& x, std::span<const KvSegment> segments, Matrix* y) const {
+  WR_CHECK(y != nullptr);
+  const std::size_t dim = final_ln_.dim();
+  WR_CHECK_EQ(x.cols(), dim);
+  std::size_t rows = 0;
+  for (const KvSegment& seg : segments) {
+    WR_CHECK(seg.kv != nullptr);
+    WR_CHECK_GT(seg.rows, 0u);
+    SequenceKvCache& cache = *seg.kv;
+    if (cache.blocks.size() != blocks_.size()) {
+      cache.blocks.assign(blocks_.size(), AttentionKvCache());
+    }
+    // Positions [0, start) must already be cached; whatever sits at or past
+    // start is stale and is overwritten.
+    WR_CHECK_LE(seg.start, cache.len());
+    for (AttentionKvCache& kv : cache.blocks) {
+      kv.len = seg.start;
+      kv.Reserve(seg.start + seg.rows, dim);
+    }
+    rows += seg.rows;
   }
-  Matrix h = x_row;
-  Matrix next;
+  WR_CHECK_EQ(rows, x.rows());
+
+  Matrix& h = linalg::ThreadLocalWorkspace().MatRef(linalg::kWsSegHidden);
+  h = x;  // copy-assignment reuses the slot's capacity
   for (std::size_t b = 0; b < blocks_.size(); ++b) {
-    blocks_[b]->ForwardStepInto(h, &cache->blocks[b], &next);
-    h = std::move(next);
+    blocks_[b]->ForwardSegmentsInPlace(&h, segments, b);
   }
-  final_ln_.ForwardEvalInto(h, y);
+  // The final LayerNorm runs on each segment's last row only.
+  y->Reshape(segments.size(), dim);
+  std::size_t row_end = 0;
+  for (std::size_t s = 0; s < segments.size(); ++s) {
+    row_end += segments[s].rows;
+    final_ln_.ForwardEvalRowInto(h.RowPtr(row_end - 1), y->RowPtr(s));
+  }
 }
 
 Matrix TransformerEncoder::Backward(const Matrix& dy) {

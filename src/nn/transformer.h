@@ -2,6 +2,7 @@
 #define WHITENREC_NN_TRANSFORMER_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -20,8 +21,10 @@ class FeedForward : public Layer {
   linalg::Matrix Forward(const linalg::Matrix& x);
   linalg::Matrix Backward(const linalg::Matrix& dy);
 
-  // Eval-only, cache-free forward (same fc1 -> ReLU -> fc2 arithmetic);
-  // safe to call concurrently. Used by the incremental serving path.
+  // Eval-only, cache-free forward (same fc1 -> ReLU -> fc2 arithmetic); the
+  // hidden activations live in the calling thread's workspace, so it is
+  // safe to call concurrently from distinct threads. Used by the segment
+  // forward.
   void ForwardEvalInto(const linalg::Matrix& x, linalg::Matrix* y) const;
 
   void CollectParameters(std::vector<Parameter*>* out) override;
@@ -46,13 +49,14 @@ class TransformerBlock : public Layer {
                          std::size_t seq_len, bool train);
   linalg::Matrix Backward(const linalg::Matrix& dy);
 
-  // Incremental eval forward: appends one position to `kv` (which holds this
-  // block's K/V rows for the sequence so far) and writes the block output
-  // row into *y. Dropout is identity in eval mode, so this mirrors
-  // Forward(train=false) exactly; bitwise identical to the appended row of
-  // the full forward. Const and cache-free.
-  void ForwardStepInto(const linalg::Matrix& x_row, AttentionKvCache* kv,
-                       linalg::Matrix* y) const;
+  // Segment eval forward of block `block` in place on the stacked residual
+  // stream *h (see KvSegment): h = h + Attn(LN1(h)); h = h + FFN(LN2(h)).
+  // Dropout is identity in eval mode, so every row is bitwise the matching
+  // row of Forward(train=false) over the whole sequence. Const; scratch from
+  // the calling thread's workspace.
+  void ForwardSegmentsInPlace(linalg::Matrix* h,
+                              std::span<const KvSegment> segments,
+                              std::size_t block) const;
 
   void CollectParameters(std::vector<Parameter*>* out) override;
 
@@ -79,24 +83,23 @@ class TransformerEncoder : public Layer {
                          std::size_t seq_len, bool train);
   linalg::Matrix Backward(const linalg::Matrix& dy);
 
-  // Per-sequence incremental state: one K/V cache per block. len() is the
-  // number of positions encoded so far.
-  struct StepCache {
-    std::vector<AttentionKvCache> blocks;
-
-    std::size_t len() const { return blocks.empty() ? 0 : blocks[0].len; }
-    void Clear() {
-      for (AttentionKvCache& kv : blocks) kv.Clear();
-    }
-  };
-
-  // Incremental eval forward: encodes position cache->len() given its
-  // embedded input row (1, dim) and returns the final-LayerNorm'd hidden row
-  // in *y — bitwise identical to the same row of Forward(train=false) over
-  // the full sequence (tests/serving_test.cc). Initializes cache->blocks on
-  // first use. Const and cache-free: safe concurrently across sessions.
-  void ForwardStepInto(const linalg::Matrix& x_row, StepCache* cache,
-                       linalg::Matrix* y) const;
+  // Segment eval forward — the serving forward. x stacks the embedded
+  // input rows of every segment (item + positional embedding), in segment
+  // order. Per block, LayerNorm, the Q/K/V and output projections and the
+  // FFN run as GEMMs over all stacked rows; attention runs per segment,
+  // causally, against the segment's own K/V caches, which receive the new
+  // rows in place (each cache is first cut back to the segment's start and
+  // grown to fit). *y receives one row per segment: the final-LayerNorm'd
+  // hidden state of the segment's last position — the only rows that
+  // answer a request. Each is bitwise the same row of
+  // Forward(train=false) over the sequence's positions [0, start + rows),
+  // whatever else shares the call (tests/serving_test.cc). Const and
+  // allocation-free once the caches and the calling thread's workspace
+  // have grown; distinct threads may run it concurrently over disjoint
+  // sequences.
+  void ForwardSegmentsInto(const linalg::Matrix& x,
+                           std::span<const KvSegment> segments,
+                           linalg::Matrix* y) const;
 
   void CollectParameters(std::vector<Parameter*>* out) override;
 

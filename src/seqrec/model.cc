@@ -159,23 +159,42 @@ void SasRecModel::ScoreFactors(const data::Batch& batch, Matrix* users,
   *users = GatherLastPositions(h, batch);
 }
 
+void SasRecModel::EncodeSegments(const Matrix& v,
+                                 std::span<const std::size_t> items,
+                                 std::span<const nn::KvSegment> segments,
+                                 Matrix* h_last) const {
+  WR_CHECK(h_last != nullptr);
+  const std::size_t d = config_.hidden_dim;
+  WR_CHECK_EQ(v.cols(), d);
+  // Embedded input rows: item embedding + positional embedding, exactly
+  // EmbedInputs' gather + add for an unpadded position in eval mode
+  // (dropout identity, mask all-valid).
+  const Matrix& pos = pos_emb_.table().value;
+  Matrix& x = linalg::ThreadLocalWorkspace().MatRef(linalg::kWsSegInput);
+  x.Reshape(items.size(), d);
+  std::size_t r = 0;
+  for (const nn::KvSegment& seg : segments) {
+    WR_CHECK_LE(seg.start + seg.rows, config_.max_len);
+    WR_CHECK_LE(r + seg.rows, items.size());
+    for (std::size_t i = 0; i < seg.rows; ++i, ++r) {
+      WR_CHECK_LT(items[r], v.rows());
+      const double* item_row = v.RowPtr(items[r]);
+      const double* pos_row = pos.RowPtr(seg.start + i);
+      double* x_row = x.RowPtr(r);
+      for (std::size_t c = 0; c < d; ++c) x_row[c] = item_row[c] + pos_row[c];
+    }
+  }
+  WR_CHECK_EQ(r, items.size());
+  transformer_.ForwardSegmentsInto(x, segments, h_last);
+}
+
 void SasRecModel::EncodeSequenceStep(const Matrix& v, std::size_t item,
                                      SessionStepState* state,
                                      Matrix* h_row) const {
   WR_CHECK(state != nullptr);
-  WR_CHECK(h_row != nullptr);
-  WR_CHECK_LT(item, v.rows());
-  const std::size_t t = state->len();
-  WR_CHECK_LT(t, config_.max_len);
-  // Embedded input row: item embedding + positional embedding, exactly
-  // EmbedInputs' gather + add for an unpadded position in eval mode
-  // (dropout identity, mask all-valid).
-  const Matrix& pos = pos_emb_.table().value;
-  Matrix x(1, config_.hidden_dim);
-  for (std::size_t c = 0; c < config_.hidden_dim; ++c) {
-    x(0, c) = v(item, c) + pos(t, c);
-  }
-  transformer_.ForwardStepInto(x, &state->cache, h_row);
+  const nn::KvSegment segment{&state->cache, state->len(), 1};
+  EncodeSegments(v, std::span<const std::size_t>(&item, 1),
+                 std::span<const nn::KvSegment>(&segment, 1), h_row);
 }
 
 Matrix SasRecModel::UserRepresentations(const data::Batch& batch) {

@@ -2,6 +2,7 @@
 #define WHITENREC_SEQREC_MODEL_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -87,25 +88,38 @@ class SasRecModel {
   // Last-position user representations (batch_size, d), eval mode.
   linalg::Matrix UserRepresentations(const data::Batch& batch);
 
-  // --- Incremental serving forward ---------------------------------------
-  // Per-session state for the append-one-item eval forward: the transformer
-  // K/V caches of every position encoded so far.
+  // --- Serving forward ---------------------------------------------------
+  // Per-session state of the serving forward: the transformer K/V caches of
+  // every position encoded so far.
   struct SessionStepState {
-    nn::TransformerEncoder::StepCache cache;
+    nn::SequenceKvCache cache;
 
     std::size_t len() const { return cache.len(); }
     void Clear() { cache.Clear(); }
   };
 
-  // Appends one item at position state->len() and writes the (1, hidden_dim)
-  // final hidden row into *h_row — bitwise identical to the corresponding
-  // row of EncodeSequences(train=false) over the same unpadded sequence
-  // (tests/serving_test.cc sweeps this). `v` is the item table from
-  // EncodeItems(false), passed in so the serving layer can cache it across
-  // requests. Requires state->len() < config().max_len; on window overflow
-  // the caller clears the state and replays the truncated window. Const and
-  // touches no training caches, so distinct sessions may step concurrently
-  // from ParallelFor chunks.
+  // The segment forward (nn::TransformerEncoder::ForwardSegmentsInto) over
+  // item ids: segment s covers the next segments[s].rows entries of `items`
+  // (segments in order, items.size() = their total), which are positions
+  // [start, start + rows) of its session (< config().max_len). The embedded
+  // rows are item + positional embedding, exactly EmbedInputs' rows for an
+  // unpadded eval sequence. *h_last receives one (hidden_dim) row per
+  // segment: the final hidden state of its last position, bitwise the
+  // matching row of EncodeSequences(train=false) over the session's
+  // positions [0, start + rows) (tests/serving_test.cc). `v` is the item
+  // table from EncodeItems(false), passed in so the serving layer can cache
+  // it across requests. Const, touches no training caches, and allocates
+  // nothing once the caches and the calling thread's workspace have grown;
+  // disjoint sessions may be encoded concurrently from ParallelFor chunks.
+  void EncodeSegments(const linalg::Matrix& v,
+                      std::span<const std::size_t> items,
+                      std::span<const nn::KvSegment> segments,
+                      linalg::Matrix* h_last) const;
+
+  // The one-row segment: appends `item` at position state->len() and writes
+  // the (1, hidden_dim) final hidden row into *h_row. Requires
+  // state->len() < config().max_len; on window overflow the caller clears
+  // the state and replays the truncated window.
   void EncodeSequenceStep(const linalg::Matrix& v, std::size_t item,
                           SessionStepState* state,
                           linalg::Matrix* h_row) const;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -12,6 +13,7 @@
 #include "eval/conditioning.h"
 #include "whitening/whiten_encoder.h"
 #include "linalg/gemm.h"
+#include "linalg/workspace.h"
 #include "serve/chaos.h"
 
 namespace whitenrec {
@@ -115,27 +117,6 @@ const retrieval::Scorer* RecommendService::RungScorer(
   return rung_scorers_[rung].get();
 }
 
-bool RecommendService::AppendAndEncode(Session* session, std::size_t item,
-                                       Matrix* h_row) const {
-  // A window shift moves every remaining position down by one, so all cached
-  // K/V rows are stale: drop the oldest item and replay. The session keeps
-  // has_state (it holds state again once this call returns), so the
-  // stateful-session count stays exact.
-  const bool shift = session->window.size() == model_->config().max_len;
-  if (shift) session->window.erase(session->window.begin());
-  session->window.push_back(item);
-  const bool incremental = session->has_state && !shift;
-  if (!incremental) {
-    session->state.Clear();
-    for (std::size_t t = 0; t + 1 < session->window.size(); ++t) {
-      model_->EncodeSequenceStep(item_table_, session->window[t],
-                                 &session->state, h_row);
-    }
-  }
-  model_->EncodeSequenceStep(item_table_, item, &session->state, h_row);
-  return incremental;
-}
-
 void RecommendService::EvictFor(const std::vector<std::uint64_t>& needed) {
   // Sessions the incoming slice will touch (they are about to gain state and
   // must not be evicted from under the batch phase).
@@ -220,45 +201,141 @@ void RecommendService::HandleSlice(
     }
   }
   EvictFor(order);
-  for (std::uint64_t id : order) {
-    sessions_[id];  // materialize entries on the serial path
-  }
 
-  // Parallel phase: per-session incremental forwards. Distinct sessions own
-  // disjoint state, and sessions_ is not resized here, so chunks race on
-  // nothing; within a session requests run in arrival order.
-  Matrix users(n, hidden);
+  // Serial plan: advance every window in arrival order and decide, per
+  // request, whether it extends the session's K/V state by its one new row
+  // or replays the whole window (cold, evicted or invalidated state, or a
+  // max_len shift, which moves every position). Request out's segment is
+  // positions [start, start + rows) of its window, items from
+  // plan_items[items_at...].
+  struct Planned {
+    std::size_t start = 0;
+    std::size_t rows = 0;
+    std::size_t items_at = 0;
+  };
+  const std::size_t max_len = model_->config().max_len;
+  std::vector<Session*> sessions(order.size());
+  std::vector<Planned> plan(n);
+  std::vector<std::size_t> plan_items;
+  std::vector<std::size_t> session_rows(order.size(), 0);
   std::vector<std::vector<std::size_t>> exclusions(n);
   std::vector<unsigned char> hit(n, 0);
   std::vector<std::size_t> lens(n, 0);
-  core::ParallelFor(
-      0, order.size(), 1, [&](std::size_t s0, std::size_t s1) {
-        Matrix h_row;
-        for (std::size_t s = s0; s < s1; ++s) {
-          Session& session = sessions_.find(order[s])->second;
-          for (std::size_t r : bins[s]) {
-            const std::size_t out = r - begin;
-            hit[out] = AppendAndEncode(&session, requests[r].item, &h_row)
-                           ? 1
-                           : 0;
-            users.SetRow(out, h_row.Row(0));
-            lens[out] = session.window.size();
-            if (config_.exclude_history) {
-              exclusions[out] = session.window;
-              std::sort(exclusions[out].begin(), exclusions[out].end());
-            }
-          }
-        }
-      });
+  std::size_t rounds = 0;
+  for (std::size_t s = 0; s < order.size(); ++s) {
+    // Entries are materialized here, on the serial path; the map never
+    // rehashes under the parallel phase, and element pointers survive
+    // rehashing anyway.
+    Session& session = sessions_[order[s]];
+    sessions[s] = &session;
+    rounds = std::max(rounds, bins[s].size());
+    bool stateful = session.has_state;
+    for (std::size_t r : bins[s]) {
+      const std::size_t out = r - begin;
+      std::vector<std::size_t>& window = session.window;
+      const bool shift = window.size() == max_len;
+      if (shift) window.erase(window.begin());
+      window.push_back(requests[r].item);
+      const bool incremental = stateful && !shift;
+      Planned& p = plan[out];
+      p.items_at = plan_items.size();
+      p.start = incremental ? window.size() - 1 : 0;
+      p.rows = window.size() - p.start;
+      plan_items.insert(plan_items.end(),
+                        window.begin() + static_cast<std::ptrdiff_t>(p.start),
+                        window.end());
+      session_rows[s] += p.rows;
+      stateful = true;
+      hit[out] = incremental ? 1 : 0;
+      lens[out] = window.size();
+      if (config_.exclude_history) {
+        exclusions[out] = window;
+        std::sort(exclusions[out].begin(), exclusions[out].end());
+      }
+    }
+  }
+
+  // Stacked layout. Sessions are cut into one group per pool thread by row
+  // count; a group runs its sessions' segments in rounds — round k holds
+  // the k-th request of each of its sessions that has one — and each round
+  // is one stacked forward. A session's later requests thus run after its
+  // earlier ones, against the state they left. segments/items/answer are
+  // laid out launch by launch; answer[i] is the request segment i answers.
+  struct Launch {
+    std::size_t seg_begin = 0;
+    std::size_t seg_end = 0;
+    std::size_t item_begin = 0;
+    std::size_t item_end = 0;
+  };
+  const std::vector<std::size_t> groups =
+      core::SplitByWeight(session_rows, core::NumThreads());
+  const std::size_t num_groups = groups.size() - 1;
+  std::vector<nn::KvSegment> segments;
+  std::vector<std::size_t> items;
+  std::vector<std::size_t> answer;
+  std::vector<Launch> launches;
+  std::vector<std::size_t> group_launches(1, 0);
+  segments.reserve(n);
+  answer.reserve(n);
+  items.reserve(plan_items.size());
+  for (std::size_t g = 0; g < num_groups; ++g) {
+    for (std::size_t k = 0; k < rounds; ++k) {
+      Launch launch;
+      launch.seg_begin = segments.size();
+      launch.item_begin = items.size();
+      for (std::size_t s = groups[g]; s < groups[g + 1]; ++s) {
+        if (bins[s].size() <= k) continue;
+        const std::size_t out = bins[s][k] - begin;
+        const Planned& p = plan[out];
+        segments.push_back(
+            nn::KvSegment{&sessions[s]->state.cache, p.start, p.rows});
+        const auto first =
+            plan_items.begin() + static_cast<std::ptrdiff_t>(p.items_at);
+        items.insert(items.end(), first,
+                     first + static_cast<std::ptrdiff_t>(p.rows));
+        answer.push_back(out);
+      }
+      launch.seg_end = segments.size();
+      launch.item_end = items.size();
+      if (launch.seg_end > launch.seg_begin) launches.push_back(launch);
+    }
+    group_launches.push_back(launches.size());
+  }
+
+  // Parallel phase: one chunk per group. Groups own disjoint sessions and
+  // sessions_ is not resized here, so chunks race on nothing; the GEMMs
+  // inside run inline on the chunk's thread. No output row depends on
+  // which rows share a GEMM, so users is bitwise the same at any thread
+  // count, grouping or batch composition.
+  Matrix users(n, hidden);
+  const std::span<const nn::KvSegment> all_segments(segments);
+  const std::span<const std::size_t> all_items(items);
+  core::ParallelFor(0, num_groups, 1, [&](std::size_t g0, std::size_t g1) {
+    Matrix& answers =
+        linalg::ThreadLocalWorkspace().MatRef(linalg::kWsSegAnswers);
+    for (std::size_t l = group_launches[g0]; l < group_launches[g1]; ++l) {
+      const Launch& launch = launches[l];
+      model_->EncodeSegments(
+          item_table_,
+          all_items.subspan(launch.item_begin,
+                            launch.item_end - launch.item_begin),
+          all_segments.subspan(launch.seg_begin,
+                               launch.seg_end - launch.seg_begin),
+          &answers);
+      for (std::size_t i = launch.seg_begin; i < launch.seg_end; ++i) {
+        const double* row = answers.RowPtr(i - launch.seg_begin);
+        std::copy(row, row + hidden, users.RowPtr(answer[i]));
+      }
+    }
+  });
 
   // Serial post-phase bookkeeping.
-  for (std::size_t s = 0; s < order.size(); ++s) {
-    Session& session = sessions_.find(order[s])->second;
-    if (!session.has_state) {
-      session.has_state = true;
+  for (Session* session : sessions) {
+    if (!session->has_state) {
+      session->has_state = true;
       ++stateful_sessions_;
     }
-    session.last_use = ++request_seq_;
+    session->last_use = ++request_seq_;
   }
 
   // Scoring goes through the Scorer seam (retrieval/scorer.h): exact is the

@@ -155,15 +155,17 @@ struct QuarantinedFeature {
 //   - per-session state evolves only from that session's own requests, in
 //     arrival order (the batch phase parallelizes across sessions, never
 //     within one);
-//   - the incremental append-one-item forward is bitwise identical to the
-//     full window recompute (seqrec::SasRecModel::EncodeSequenceStep);
+//   - the stacked segment forward (seqrec::SasRecModel::EncodeSegments)
+//     gives every session's row bitwise what the full window recompute
+//     gives it, whether the row extends cached K/V state or replays the
+//     window, and whichever other sessions share its GEMMs;
 //   - scoring is the canonical GEMM (per-element ascending-k dot products)
 //     streamed through the O(K) TopKSelector, so each request's scores
 //     never depend on which other requests share its batch.
 //
 // Threading: Handle/HandleBatch/IngestItem must be called from one thread
-// (the micro-batcher); internally HandleBatch fans out across sessions via
-// core::ParallelFor. The model is borrowed, not owned, and must outlive the
+// (the micro-batcher); internally each batch runs one core::ParallelFor
+// over session groups (DESIGN.md §9). The model is borrowed, not owned, and must outlive the
 // service; the service assumes exclusive use of it while serving.
 class RecommendService {
  public:
@@ -282,12 +284,6 @@ class RecommendService {
                    const retrieval::Scorer* scorer,
                    const retrieval::Scorer* reference,
                    std::vector<std::vector<linalg::ScoredItem>>* refs_out);
-
-  // Appends the request item to the session (handling truncation shifts and
-  // cold/evicted replay) and writes the last hidden row. Returns true when
-  // the append was incremental. Called concurrently for distinct sessions.
-  bool AppendAndEncode(Session* session, std::size_t item,
-                       linalg::Matrix* h_row) const;
 
   // Evicts LRU session states until the batch's sessions fit the cap.
   // `needed` lists the sessions the current slice is about to touch.

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -185,6 +186,61 @@ TEST(ParallelForTest, NestedParallelForRunsInline) {
     }
   });
   for (std::size_t i = 0; i < 64; ++i) EXPECT_EQ(visits[i].load(), 1);
+}
+
+TEST(ParallelForTest, NestedCallRunsInlineOnCallerAndWorkerChunks) {
+  // One outer chunk per thread, each held until every thread has taken one,
+  // so the calling thread and every worker each own exactly one chunk. The
+  // inner multi-chunk call must run as one whole-range call on the thread
+  // that issued it — the caller included, which must not hand inner chunks
+  // to workers busy with the outer launch.
+  for (std::size_t threads : {2u, 4u}) {
+    ScopedThreads guard(threads);
+    std::atomic<std::size_t> arrived{0};
+    std::vector<std::size_t> inner_calls(threads, 0);
+    std::vector<std::size_t> inner_width(threads, 0);
+    std::vector<unsigned char> same_thread(threads, 0);
+    std::vector<unsigned char> on_caller(threads, 0);
+    ParallelFor(0, threads, 1, [&](std::size_t o0, std::size_t o1) {
+      arrived.fetch_add(1);
+      while (arrived.load() < threads) std::this_thread::yield();
+      for (std::size_t o = o0; o < o1; ++o) {
+        const bool outer_on_worker = ThreadPool::InWorkerThread();
+        on_caller[o] = outer_on_worker ? 0 : 1;
+        EXPECT_TRUE(InParallelSection());
+        ParallelFor(0, 8, 1, [&](std::size_t i0, std::size_t i1) {
+          ++inner_calls[o];
+          inner_width[o] = i1 - i0;
+          same_thread[o] =
+              ThreadPool::InWorkerThread() == outer_on_worker ? 1 : 0;
+        });
+      }
+    });
+    EXPECT_FALSE(InParallelSection());
+    std::size_t caller_chunks = 0;
+    for (std::size_t o = 0; o < threads; ++o) {
+      EXPECT_EQ(inner_calls[o], 1u) << "threads=" << threads << " o=" << o;
+      EXPECT_EQ(inner_width[o], 8u) << "threads=" << threads << " o=" << o;
+      EXPECT_EQ(same_thread[o], 1) << "threads=" << threads << " o=" << o;
+      caller_chunks += on_caller[o];
+    }
+    EXPECT_EQ(caller_chunks, 1u) << "threads=" << threads;
+  }
+}
+
+TEST(SplitByWeightTest, CutsContiguousNonEmptyGroupsOfNearEqualWeight) {
+  using Bounds = std::vector<std::size_t>;
+  EXPECT_EQ(SplitByWeight({1, 1, 1, 1}, 2), (Bounds{0, 2, 4}));
+  EXPECT_EQ(SplitByWeight({6, 6, 6, 1, 1, 1, 1, 1, 1}, 2),
+            (Bounds{0, 2, 9}));  // 12 | 12
+  EXPECT_EQ(SplitByWeight({12, 1, 1, 1, 1}, 2), (Bounds{0, 1, 5}));
+  // More parts than items: one item per group, never an empty one.
+  EXPECT_EQ(SplitByWeight({5, 0, 7}, 8), (Bounds{0, 1, 2, 3}));
+  // A heavy tail: the weightless items fill the earlier groups, and the
+  // heavy one is left a group of its own.
+  EXPECT_EQ(SplitByWeight({0, 0, 0, 100}, 3), (Bounds{0, 2, 3, 4}));
+  EXPECT_EQ(SplitByWeight({3, 4}, 1), (Bounds{0, 2}));
+  EXPECT_EQ(SplitByWeight({}, 4), (Bounds{0, 0}));
 }
 
 // ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -234,6 +235,286 @@ TEST(IncrementalForward, TruncationShiftMatchesBatchedWindow) {
                                  h_full.RowPtr(window.size() - 1), hidden))
         << "t=" << t;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Stacked segment forward parity: many sessions' replays and one-row steps
+// stacked into one forward give each session bitwise its own step loop's
+// row, at every thread count and however the sessions are cut into groups.
+// ---------------------------------------------------------------------------
+
+// One session of a stacked call: its items at positions [start, start +
+// rows) and its step state.
+struct StackedSession {
+  std::vector<std::size_t> window;
+  seqrec::SasRecModel::SessionStepState state;
+};
+
+// Group cuts exercised per call: everything in one group, two and three
+// near-equal groups, and one group per segment.
+std::vector<std::vector<std::size_t>> GroupCuts(std::size_t num_segments) {
+  std::vector<std::vector<std::size_t>> cuts;
+  for (std::size_t parts : {std::size_t{1}, std::size_t{2}, std::size_t{3},
+                            num_segments}) {
+    std::vector<std::size_t> bounds;
+    for (std::size_t g = 0; g <= parts; ++g) {
+      bounds.push_back(g * num_segments / parts);
+    }
+    cuts.push_back(std::move(bounds));
+  }
+  return cuts;
+}
+
+// Encodes segments[s] = positions [starts[s], window.size()) of
+// sessions[s], cut into groups by `bounds` (one ParallelFor chunk per
+// group, each one EncodeSegments call), and returns the answer rows in
+// segment order.
+Matrix StackedForward(const seqrec::SasRecModel& model, const Matrix& v,
+                      std::vector<StackedSession>* sessions,
+                      const std::vector<std::size_t>& starts,
+                      const std::vector<std::size_t>& bounds) {
+  const std::size_t hidden = model.config().hidden_dim;
+  std::vector<nn::KvSegment> segments;
+  std::vector<std::size_t> items;
+  std::vector<std::size_t> item_at;
+  for (std::size_t s = 0; s < sessions->size(); ++s) {
+    StackedSession& session = (*sessions)[s];
+    item_at.push_back(items.size());
+    segments.push_back(nn::KvSegment{&session.state.cache, starts[s],
+                                     session.window.size() - starts[s]});
+    items.insert(items.end(),
+                 session.window.begin() +
+                     static_cast<std::ptrdiff_t>(starts[s]),
+                 session.window.end());
+  }
+  item_at.push_back(items.size());
+  Matrix out(sessions->size(), hidden);
+  core::ParallelFor(0, bounds.size() - 1, 1, [&](std::size_t g0,
+                                                std::size_t g1) {
+    for (std::size_t g = g0; g < g1; ++g) {
+      const std::size_t s0 = bounds[g];
+      const std::size_t s1 = bounds[g + 1];
+      if (s0 == s1) continue;
+      Matrix answers;
+      model.EncodeSegments(
+          v,
+          std::span<const std::size_t>(items).subspan(
+              item_at[s0], item_at[s1] - item_at[s0]),
+          std::span<const nn::KvSegment>(segments).subspan(s0, s1 - s0),
+          &answers);
+      for (std::size_t s = s0; s < s1; ++s) {
+        std::copy(answers.RowPtr(s - s0), answers.RowPtr(s - s0) + hidden,
+                  out.RowPtr(s));
+      }
+    }
+  });
+  return out;
+}
+
+// The oracle: the window replayed one EncodeSequenceStep at a time into a
+// fresh state.
+std::vector<double> StepLoopLastRow(const seqrec::SasRecModel& model,
+                                    const Matrix& v,
+                                    const std::vector<std::size_t>& window) {
+  seqrec::SasRecModel::SessionStepState state;
+  Matrix h_row;
+  for (std::size_t item : window) {
+    model.EncodeSequenceStep(v, item, &state, &h_row);
+  }
+  return h_row.Row(0);
+}
+
+std::vector<std::size_t> RandomWindow(std::size_t len, std::size_t num_items,
+                                      linalg::Rng* rng) {
+  std::vector<std::size_t> window(len);
+  for (std::size_t& item : window) item = rng->UniformInt(num_items);
+  return window;
+}
+
+TEST(StackedForward, FreshAndReplayedSessionsMatchStepLoopBitwise) {
+  seqrec::SasRecModel* model = Fixture().model();
+  const std::size_t hidden = model->config().hidden_dim;
+  const std::size_t max_len = model->config().max_len;
+  const Matrix v = model->EncodeItems(/*train=*/false);
+  linalg::Rng rng(17);
+  const std::vector<std::size_t> lens = {1, 2, max_len, 3, 5, 1, max_len - 1};
+  std::vector<std::vector<std::size_t>> windows;
+  for (std::size_t len : lens) {
+    windows.push_back(RandomWindow(len, v.rows(), &rng));
+  }
+
+  for (std::size_t threads : kThreadCounts) {
+    core::SetNumThreads(threads);
+    for (const std::vector<std::size_t>& bounds : GroupCuts(lens.size())) {
+      std::vector<StackedSession> sessions(lens.size());
+      for (std::size_t s = 0; s < lens.size(); ++s) {
+        sessions[s].window = windows[s];
+      }
+      const std::vector<std::size_t> starts(lens.size(), 0);
+      // Fresh sessions, then a replay into cleared states, then a replay
+      // over states that still hold the previous pass (start 0 overwrites
+      // them in place).
+      for (int pass = 0; pass < 3; ++pass) {
+        if (pass == 1) {
+          for (StackedSession& session : sessions) session.state.Clear();
+        }
+        const Matrix got = StackedForward(*model, v, &sessions, starts, bounds);
+        for (std::size_t s = 0; s < lens.size(); ++s) {
+          const std::vector<double> want =
+              StepLoopLastRow(*model, v, windows[s]);
+          ASSERT_TRUE(BitwiseEqualRows(got.RowPtr(s), want.data(), hidden))
+              << "threads=" << threads << " groups=" << bounds.size() - 1
+              << " pass=" << pass << " session=" << s;
+          const Matrix h_full = model->EncodeSequences(
+              MakeBatch(windows[s]), v, /*train=*/false);
+          ASSERT_TRUE(BitwiseEqualRows(
+              got.RowPtr(s), h_full.RowPtr(windows[s].size() - 1), hidden))
+              << "threads=" << threads << " session=" << s;
+          ASSERT_EQ(sessions[s].state.len(), windows[s].size());
+        }
+      }
+    }
+  }
+  core::SetNumThreads(0);
+}
+
+TEST(StackedForward, ShiftAtMaxLenReplaysTruncatedWindow) {
+  // Every session streams past max_len; each step past it shifts the window
+  // and replays it as one max_len-row segment, stacked beside the others.
+  seqrec::SasRecModel* model = Fixture().model();
+  const std::size_t hidden = model->config().hidden_dim;
+  const std::size_t max_len = model->config().max_len;
+  const Matrix v = model->EncodeItems(/*train=*/false);
+  linalg::Rng rng(19);
+  constexpr std::size_t kSessions = 5;
+  std::vector<std::vector<std::size_t>> streams;
+  for (std::size_t s = 0; s < kSessions; ++s) {
+    streams.push_back(RandomWindow(max_len + 3, v.rows(), &rng));
+  }
+  for (std::size_t threads : kThreadCounts) {
+    core::SetNumThreads(threads);
+    for (const std::vector<std::size_t>& bounds : GroupCuts(kSessions)) {
+      std::vector<StackedSession> sessions(kSessions);
+      for (std::size_t s = 0; s < kSessions; ++s) {
+        sessions[s].window.assign(
+            streams[s].begin(),
+            streams[s].begin() + static_cast<std::ptrdiff_t>(max_len));
+      }
+      const std::vector<std::size_t> starts(kSessions, 0);
+      StackedForward(*model, v, &sessions, starts, bounds);
+      for (std::size_t t = max_len; t < max_len + 3; ++t) {
+        for (StackedSession& session : sessions) {
+          ASSERT_EQ(session.window.size(), max_len);
+          session.window.erase(session.window.begin());
+        }
+        for (std::size_t s = 0; s < kSessions; ++s) {
+          sessions[s].window.push_back(streams[s][t]);
+        }
+        const Matrix got = StackedForward(*model, v, &sessions, starts, bounds);
+        for (std::size_t s = 0; s < kSessions; ++s) {
+          const std::vector<double> want =
+              StepLoopLastRow(*model, v, sessions[s].window);
+          ASSERT_TRUE(BitwiseEqualRows(got.RowPtr(s), want.data(), hidden))
+              << "threads=" << threads << " groups=" << bounds.size() - 1
+              << " t=" << t << " session=" << s;
+        }
+      }
+    }
+  }
+  core::SetNumThreads(0);
+}
+
+TEST(StackedForward, OneRowStepsBesideReplaysMatchStepLoop) {
+  // Sessions 0, 2, 4 extend their cached state by one row per call while
+  // sessions 1 and 3 replay their whole window in the same stacked call.
+  seqrec::SasRecModel* model = Fixture().model();
+  const std::size_t hidden = model->config().hidden_dim;
+  const std::size_t max_len = model->config().max_len;
+  const Matrix v = model->EncodeItems(/*train=*/false);
+  linalg::Rng rng(23);
+  constexpr std::size_t kSessions = 5;
+  std::vector<std::vector<std::size_t>> streams;
+  for (std::size_t s = 0; s < kSessions; ++s) {
+    streams.push_back(RandomWindow(max_len, v.rows(), &rng));
+  }
+  for (std::size_t threads : kThreadCounts) {
+    core::SetNumThreads(threads);
+    for (const std::vector<std::size_t>& bounds : GroupCuts(kSessions)) {
+      std::vector<StackedSession> sessions(kSessions);
+      std::vector<seqrec::SasRecModel::SessionStepState> oracle(kSessions);
+      Matrix h_row;
+      for (std::size_t t = 0; t < max_len; ++t) {
+        std::vector<std::size_t> starts(kSessions, 0);
+        for (std::size_t s = 0; s < kSessions; ++s) {
+          sessions[s].window.push_back(streams[s][t]);
+          if (s % 2 == 0) starts[s] = t;
+        }
+        const Matrix got = StackedForward(*model, v, &sessions, starts, bounds);
+        for (std::size_t s = 0; s < kSessions; ++s) {
+          model->EncodeSequenceStep(v, streams[s][t], &oracle[s], &h_row);
+          ASSERT_TRUE(BitwiseEqualRows(got.RowPtr(s), h_row.RowPtr(0), hidden))
+              << "threads=" << threads << " groups=" << bounds.size() - 1
+              << " t=" << t << " session=" << s;
+          ASSERT_EQ(sessions[s].state.len(), t + 1);
+        }
+      }
+    }
+  }
+  core::SetNumThreads(0);
+}
+
+TEST(StackedForward, SeveralRequestsOfOneSessionInOneBatch) {
+  // Sessions appearing 2-3 times in one batch (one of them across its
+  // max_len shift) run in later rounds of the stacked forward; each
+  // response must be bitwise the one-request-at-a-time response.
+  seqrec::SasRecModel* model = Fixture().model();
+  const std::size_t max_len = model->config().max_len;
+  linalg::Rng rng(29);
+  const std::size_t num_items = model->num_items();
+  std::vector<ServeRequest> warmup;
+  // Session 7 is two items short of max_len, so its third request in the
+  // batch shifts its window; session 9 starts cold.
+  for (std::size_t t = 0; t + 2 < max_len; ++t) {
+    warmup.push_back(ServeRequest{7, rng.UniformInt(num_items)});
+  }
+  warmup.push_back(ServeRequest{8, rng.UniformInt(num_items)});
+  std::vector<ServeRequest> batch;
+  for (std::uint64_t session : {7u, 8u, 9u, 7u, 10u, 9u, 7u, 8u, 11u, 9u}) {
+    batch.push_back(ServeRequest{session, rng.UniformInt(num_items)});
+  }
+  ServeConfig config;
+  config.top_k = 10;
+
+  core::SetNumThreads(1);
+  std::vector<ServeResponse> reference;
+  {
+    RecommendService single(model, config);
+    single.HandleBatch(warmup);
+    for (const ServeRequest& request : batch) {
+      reference.push_back(single.Handle(request));
+    }
+  }
+  for (std::size_t threads : kThreadCounts) {
+    core::SetNumThreads(threads);
+    RecommendService batched(model, config);
+    batched.HandleBatch(warmup);
+    const std::vector<ServeResponse> got = batched.HandleBatch(batch);
+    ASSERT_TRUE(SameResponses(reference, got)) << "threads=" << threads;
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      EXPECT_EQ(got[i].incremental, reference[i].incremental) << i;
+    }
+    // Session 7 stepped one row at its first two requests in the batch and
+    // replayed its shifted window at the third; cold session 9 replayed,
+    // then stepped.
+    EXPECT_TRUE(got[0].incremental);
+    EXPECT_TRUE(got[3].incremental);
+    EXPECT_FALSE(got[6].incremental);
+    EXPECT_EQ(got[6].session_len, max_len);
+    EXPECT_FALSE(got[2].incremental);
+    EXPECT_TRUE(got[5].incremental);
+    EXPECT_TRUE(got[9].incremental);
+  }
+  core::SetNumThreads(0);
 }
 
 // ---------------------------------------------------------------------------
